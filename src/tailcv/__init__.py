@@ -10,6 +10,7 @@ variance-reduction approximation, and a replicated simulation harness.
 from .acv import (
     AcvCoefficients,
     MomentStatistics,
+    SufficientStatistics,
     acv_ratio_coefficients,
     acv_ratio_estimate,
     corrected_ratio,
@@ -21,10 +22,12 @@ from .core import (
     CvVariables,
     EstimationError,
     EviEstimate,
+    Exceedances,
     Method,
     SemiSupervisedDataset,
     TransferCoefficients,
     build_cv_variables,
+    exceedances,
     log_excess_indicators,
     order_statistics,
     threshold_at,
@@ -61,6 +64,7 @@ from .simulate import (
     source_threshold_scan,
 )
 from .transfer import (
+    ESTIMATORS,
     transferred_hill,
     transferred_hill_from_variables,
     transferred_moment,
@@ -74,9 +78,11 @@ __all__ = [
     "BootstrapResult",
     "CvVariables",
     "DependenceReport",
+    "ESTIMATORS",
     "EstimationError",
     "EstimatorSummary",
     "EviEstimate",
+    "Exceedances",
     "ExperimentConfig",
     "HillPlotSeries",
     "Marginal",
@@ -85,6 +91,7 @@ __all__ = [
     "RvrPair",
     "RvrReport",
     "SemiSupervisedDataset",
+    "SufficientStatistics",
     "ThresholdScanPoint",
     "TransferCoefficients",
     "acv_ratio_coefficients",
@@ -97,6 +104,7 @@ __all__ = [
     "cv_coefficient",
     "cv_correlations",
     "dependence_report",
+    "exceedances",
     "generate_dataset",
     "hill",
     "hill_plot",

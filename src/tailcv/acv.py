@@ -10,15 +10,24 @@ from the larger n + m sample rather than known exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CvVariables, EstimationError
+from .core import (
+    CvVariables,
+    EstimationError,
+    Exceedances,
+    SemiSupervisedDataset,
+    _order_statistic,
+    exceedances,
+    order_statistics,
+)
 
 __all__ = [
     "AcvCoefficients",
     "MomentStatistics",
+    "SufficientStatistics",
     "moment_statistics",
     "cv_coefficient",
     "acv_ratio_coefficients",
@@ -82,10 +91,13 @@ def moment_statistics(*sequences) -> MomentStatistics:
         raise ValueError("sequences must have equal length")
     if count < 2:
         raise ValueError("need at least 2 observations")
-    stacked = np.vstack(arrays)
-    covariance = np.atleast_2d(np.cov(stacked, ddof=1))
-    return MomentStatistics(means=stacked.mean(axis=1), covariance=covariance,
-                            count=count)
+    # The steps of np.cov(stacked, ddof=1), so every entry keeps its bits.
+    stacked = np.array(arrays)
+    means = stacked.mean(axis=1)
+    deviations = stacked - means[:, None]
+    covariance = np.dot(deviations, deviations.T)
+    covariance *= np.true_divide(1, count - 1)
+    return MomentStatistics(means=means, covariance=covariance, count=count)
 
 
 def cv_coefficient(a, b) -> float:
@@ -99,6 +111,31 @@ def cv_coefficient(a, b) -> float:
     if var_b == 0.0:
         raise EstimationError("degenerate control variate")
     return float(stats.covariance[0, 1] / var_b)
+
+
+def _degenerate(var_b, var_d, cov_bd, determinant) -> bool:
+    return (determinant <= DETERMINANT_RTOL * var_b * var_d
+            or abs(cov_bd) >= CORRELATION_CEILING * np.sqrt(var_b * var_d))
+
+
+def _coefficients(cov: np.ndarray, rows: tuple, r_plugin: float) -> AcvCoefficients:
+    """The optimal pair from the covariance rows (a, b, c, d) of ``cov``."""
+    a, b, c, d = rows
+    var_b, var_d = cov[b, b], cov[d, d]
+    cov_ab, cov_ad = cov[a, b], cov[a, d]
+    cov_bc, cov_bd = cov[b, c], cov[b, d]
+    cov_cd = cov[c, d]
+    determinant = var_b * var_d - cov_bd * cov_bd
+    if _degenerate(var_b, var_d, cov_bd, determinant) or r_plugin == 0.0:
+        return AcvCoefficients(alpha=0.0, beta=0.0, determinant=float(determinant),
+                               degenerate=True)
+    r = float(r_plugin)
+    alpha = (var_d * cov_ab - r * var_d * cov_bc
+             + r * cov_bd * cov_cd - cov_bd * cov_ad) / determinant
+    beta = (cov_bd * cov_ab - r * cov_bd * cov_bc
+            + r * var_b * cov_cd - var_b * cov_ad) / (r * determinant)
+    return AcvCoefficients(alpha=float(alpha), beta=float(beta),
+                           determinant=float(determinant), degenerate=False)
 
 
 def acv_ratio_coefficients(a, b, c, d, r_plugin: float) -> AcvCoefficients:
@@ -115,30 +152,10 @@ def acv_ratio_coefficients(a, b, c, d, r_plugin: float) -> AcvCoefficients:
     """
     stats = moment_statistics(a, b, c, d)
     if stats.count < 3:
-        raise ValueError("need at least 3 coupled observations")
+        raise EstimationError("need at least 3 coupled observations")
     if not np.any(np.asarray(c, dtype=float)):
         raise EstimationError("no exceedances")
-    cov = stats.covariance
-    var_b, var_d = cov[1, 1], cov[3, 3]
-    cov_ab, cov_ad = cov[0, 1], cov[0, 3]
-    cov_bc, cov_bd = cov[1, 2], cov[1, 3]
-    cov_cd = cov[2, 3]
-    determinant = var_b * var_d - cov_bd * cov_bd
-    degenerate = (
-        determinant <= DETERMINANT_RTOL * var_b * var_d
-        or abs(cov_bd) >= CORRELATION_CEILING * np.sqrt(var_b * var_d)
-        or r_plugin == 0.0
-    )
-    if degenerate:
-        return AcvCoefficients(alpha=0.0, beta=0.0, determinant=float(determinant),
-                               degenerate=True)
-    r = float(r_plugin)
-    alpha = (var_d * cov_ab - r * var_d * cov_bc
-             + r * cov_bd * cov_cd - cov_bd * cov_ad) / determinant
-    beta = (cov_bd * cov_ab - r * cov_bd * cov_bc
-            + r * var_b * cov_cd - var_b * cov_ad) / (r * determinant)
-    return AcvCoefficients(alpha=float(alpha), beta=float(beta),
-                           determinant=float(determinant), degenerate=False)
+    return _coefficients(stats.covariance, (0, 1, 2, 3), r_plugin)
 
 
 def corrected_ratio(numerator_coupled, numerator_all, denominator_coupled,
@@ -150,15 +167,20 @@ def corrected_ratio(numerator_coupled, numerator_all, denominator_coupled,
     and the coupled-sample mean; with m = 0 or zero coefficients the shift is
     exactly 0.0 and the baseline ratio is returned bit-for-bit.
     """
-    num_coupled = np.asarray(numerator_coupled, dtype=float)
     num_all = np.asarray(numerator_all, dtype=float)
-    den_coupled = np.asarray(denominator_coupled, dtype=float)
     den_all = np.asarray(denominator_all, dtype=float)
-    n = num_coupled.size
-    numerator = num_coupled.mean() + coefficients.alpha * (
-        num_all.mean() - num_all[:n].mean())
-    denominator = den_coupled.mean() + coefficients.beta * (
-        den_all.mean() - den_all[:n].mean())
+    n = np.asarray(numerator_coupled).size
+    return _shifted_ratio(
+        np.asarray(numerator_coupled, dtype=float).mean(),
+        num_all.mean() - num_all[:n].mean(),
+        np.asarray(denominator_coupled, dtype=float).mean(),
+        den_all.mean() - den_all[:n].mean(), coefficients)
+
+
+def _shifted_ratio(numerator, numerator_shift, denominator, denominator_shift,
+                   coefficients: AcvCoefficients) -> float:
+    numerator = numerator + coefficients.alpha * numerator_shift
+    denominator = denominator + coefficients.beta * denominator_shift
     if denominator == 0.0:
         raise EstimationError("degenerate denominator")
     return float(numerator / denominator)
@@ -187,21 +209,130 @@ def variance_difference_plugin(variables: CvVariables, gamma_hat: float) -> floa
     for unstable small-exceedance inputs; callers that need a variance
     estimate should clip, while threshold scans report negatives as-is.
     """
-    n = variables.n
-    m = variables.m
-    a, c = variables.a, variables.c
-    b, d = variables.b[:n], variables.d[:n]
-    mean_c = c.mean()
-    if mean_c == 0.0:
-        raise EstimationError("no exceedances")
-    cov = moment_statistics(a, b, c, d).covariance
-    var_b, var_d, cov_bd = cov[1, 1], cov[3, 3], cov[1, 3]
-    determinant = var_b * var_d - cov_bd * cov_bd
-    if (determinant <= DETERMINANT_RTOL * var_b * var_d
-            or abs(cov_bd) >= CORRELATION_CEILING * np.sqrt(var_b * var_d)):
-        raise EstimationError("degenerate control variate")
-    s_d = gamma_hat * cov[1, 2] - cov[0, 1]
-    s_b = gamma_hat * cov[2, 3] - cov[0, 3]
-    combination = s_d * d - s_b * b
-    spread = float(np.var(combination, ddof=1))
-    return float(m / (n * (n + m)) * spread / (mean_c * mean_c * determinant))
+    return SufficientStatistics.from_variables(variables).variance_difference(gamma_hat)
+
+
+# Rows of the control covariance: target log-excess a and its square g,
+# source log-excess b and its square h, target and source indicators c, d.
+_A, _G, _B, _H, _C, _D = range(6)
+
+
+@dataclass(frozen=True, eq=False)
+class SufficientStatistics:
+    """Everything the estimators and diagnostics read from one dataset at (k, k_source).
+
+    The four estimators are ratios of coupled means corrected with blocks of
+    one control covariance, which the variance plug-in and the correlations
+    read too, so each replication, resample or data file builds this once:
+    ``target`` and ``source`` (one sort each; ``source`` is None without a
+    source sample or with an invalid k_source), ``moments`` of
+    (a, g, b, h, c, d) over the n coupled rows, and ``lambda_hat``, the joint
+    exceedance frequency at k (None without raw source data). ``moments`` is
+    None when a side has no log-excesses, the source is absent or n < 3;
+    ``missing`` then says why, and readers of the matrix raise it. ``m``
+    counts the extra source values. The threshold scan builds its sources
+    from the coupled values alone and passes m as a count: the plug-in needs
+    no more, but the estimators would read coupled means as full-sample ones.
+    """
+
+    target: Exceedances
+    source: Exceedances | None = None
+    m: int = 0
+    lambda_hat: float | None = None
+    missing: str | None = None
+    moments: MomentStatistics | None = field(init=False, default=None)
+
+    def __post_init__(self):
+        if self.missing is not None:
+            return
+        target, source = self.target, self.source
+        if source is None:
+            missing = "no source sample"
+        elif target.excess is None or source.excess is None:
+            missing = "log-transform undefined"
+        elif self.n < 3:
+            missing = "need at least 3 coupled observations"
+        else:
+            object.__setattr__(self, "moments", moment_statistics(
+                target.excess, target.square, source.excess, source.square,
+                target.indicator, source.indicator))
+            return
+        object.__setattr__(self, "missing", missing)
+
+    @classmethod
+    def of(cls, dataset: SemiSupervisedDataset, k: int,
+           k_source: int | None = None) -> "SufficientStatistics":
+        """Build from a dataset; raises EstimationError only for an invalid k."""
+        target = exceedances(dataset.paired_target, k)
+        ordered = order_statistics(dataset.paired_source)
+        above = dataset.paired_source > _order_statistic(ordered, k)
+        lambda_hat = float(np.count_nonzero(np.logical_and(target.indicator, above))
+                           / int(k))
+        try:
+            source = exceedances(dataset.paired_source,
+                                 k if k_source is None else k_source,
+                                 extra=dataset.extra_source, ordered=ordered)
+        except EstimationError as error:
+            return cls(target, None, dataset.m, lambda_hat, str(error))
+        return cls(target, source, dataset.m, lambda_hat)
+
+    @classmethod
+    def from_variables(cls, variables: CvVariables) -> "SufficientStatistics":
+        """Build from control-variate variables (no tail dependence)."""
+        n = variables.n
+        target = Exceedances.of_columns(variables.k_target, variables.target_threshold,
+                                        variables.a, variables.c, n)
+        source = Exceedances.of_columns(variables.k_source, variables.source_threshold,
+                                        variables.b, variables.d, n)
+        return cls(target, source, variables.m)
+
+    @property
+    def n(self) -> int:
+        return self.target.indicator.size
+
+    @property
+    def covariance(self) -> np.ndarray:
+        """The 6x6 control covariance; raises EstimationError when missing."""
+        if self.moments is None:
+            raise EstimationError(self.missing)
+        return self.moments.covariance
+
+    def coefficients(self, power: int, r_plugin: float) -> AcvCoefficients:
+        """Optimal pair for the log-moment of order ``power`` (1 or 2)."""
+        return _coefficients(self.covariance, (power - 1, power + 1, _C, _D), r_plugin)
+
+    def corrected_ratio(self, power: int, coefficients: AcvCoefficients) -> float:
+        """Corrected log-moment of order ``power``; the shift is 0.0 when m = 0."""
+        source, row = self.source, power - 1
+        return _shifted_ratio(
+            self.target.means[row], source.full_means[row] - source.means[row],
+            self.target.means[2], source.full_means[2] - source.means[2],
+            coefficients)
+
+    def variance_difference(self, gamma_hat: float) -> float:
+        """See :func:`variance_difference_plugin`."""
+        n, m = self.n, self.m
+        cov = self.covariance
+        mean_c = self.target.means[2]
+        if mean_c == 0.0:
+            raise EstimationError("no exceedances")
+        var_b, var_d, cov_bd = cov[_B, _B], cov[_D, _D], cov[_B, _D]
+        determinant = var_b * var_d - cov_bd * cov_bd
+        if _degenerate(var_b, var_d, cov_bd, determinant):
+            raise EstimationError("degenerate control variate")
+        s_d = gamma_hat * cov[_B, _C] - cov[_A, _B]
+        s_b = gamma_hat * cov[_C, _D] - cov[_A, _D]
+        combination = s_d * self.source.indicator - s_b * self.source.excess
+        spread = float(np.var(combination, ddof=1))
+        return float(m / (n * (n + m)) * spread / (mean_c * mean_c * determinant))
+
+    def correlations(self) -> tuple[float, float]:
+        """Pearson (corr(a, b), corr(c, d)), in np.corrcoef's order of operations."""
+        cov = self.covariance
+        out = []
+        for x, y in ((_A, _B), (_C, _D)):
+            if cov[x, x] == 0.0 or cov[y, y] == 0.0:
+                raise EstimationError("degenerate control variate")
+            value = cov[x, y] / np.sqrt(cov[x, x]) / np.sqrt(cov[y, y])
+            out.append(float(np.clip(value, -1.0, 1.0)))
+        return out[0], out[1]

@@ -23,13 +23,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .acv import SufficientStatistics
 from .core import EstimationError, EviEstimate, Method, SemiSupervisedDataset
-from .dependence import DependenceReport, dependence_report
-from .estimators import hill, hill_plot, moment
+from .dependence import _dependence_report
+from .estimators import hill_plot
 from .simulate import (
     ExperimentConfig,
     Marginal,
@@ -38,7 +39,7 @@ from .simulate import (
     run_rvr_experiment,
     source_threshold_scan,
 )
-from .transfer import transferred_hill, transferred_moment
+from .transfer import ESTIMATORS
 
 __all__ = [
     "DataFile",
@@ -283,26 +284,6 @@ def _estimate_record(estimate: EviEstimate) -> dict:
     return record
 
 
-def _dependence_dict(report: DependenceReport) -> dict:
-    return {
-        "lambda_hat": report.lambda_hat,
-        "corr_ab": report.corr_ab,
-        "corr_cd": report.corr_cd,
-        "c_ad_hat": report.c_ad_hat,
-        "c_ab_hat": report.c_ab_hat,
-        "p_hat": report.p_hat,
-        "lambda_clipped": report.lambda_clipped,
-    }
-
-
-_ESTIMATE_FUNCS = {
-    Method.HILL: lambda ds, k, ks: hill(ds.paired_target, k),
-    Method.MOMENT: lambda ds, k, ks: moment(ds.paired_target, k),
-    Method.TRANSFERRED_HILL: transferred_hill,
-    Method.TRANSFERRED_MOMENT: transferred_moment,
-}
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -323,10 +304,16 @@ def _cmd_estimate(args) -> int:
         methods = (Method.HILL, Method.MOMENT)
         if dataset.m >= 1:
             methods += (Method.TRANSFERRED_HILL, Method.TRANSFERRED_MOMENT)
+    try:
+        stats, failure = SufficientStatistics.of(dataset, args.k, args.k_source), None
+    except EstimationError as exc:
+        stats, failure = None, exc
     estimates = {}
     for method in methods:
         try:
-            estimate = _ESTIMATE_FUNCS[method](dataset, args.k, args.k_source)
+            if failure is not None:
+                raise failure
+            estimate = ESTIMATORS[method](stats)
         except EstimationError as exc:
             if explicit:
                 print(f"error: {method.value}: {exc}", file=sys.stderr)
@@ -335,8 +322,9 @@ def _cmd_estimate(args) -> int:
             continue
         estimates[method.value] = _estimate_record(estimate)
     try:
-        dependence = _dependence_dict(
-            dependence_report(dataset, args.k, args.k_source))
+        if failure is not None:
+            raise failure
+        dependence = asdict(_dependence_report(stats))
     except (EstimationError, ValueError) as exc:
         print(f"diagnostic: dependence report unavailable: {exc}",
               file=sys.stderr)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -20,8 +21,10 @@ __all__ = [
     "Method",
     "TransferCoefficients",
     "EviEstimate",
+    "Exceedances",
     "order_statistics",
     "threshold_at",
+    "exceedances",
     "log_excess_indicators",
     "build_cv_variables",
 ]
@@ -218,6 +221,14 @@ def order_statistics(sample) -> np.ndarray:
     return np.sort(arr)
 
 
+def _order_statistic(ordered: np.ndarray, k: int) -> float:
+    """The (n-k)-th entry of an ascending array, with 1 <= k <= n - 1."""
+    n = ordered.size
+    if not 1 <= int(k) <= n - 1:
+        raise EstimationError("invalid k")
+    return float(ordered[n - int(k) - 1])
+
+
 def threshold_at(sample, k: int) -> float:
     """The (n-k)-th ascending order statistic, used as the random threshold.
 
@@ -227,11 +238,7 @@ def threshold_at(sample, k: int) -> float:
     k : int
         Number of extremes, 1 <= k <= n - 1.
     """
-    arr = order_statistics(sample)
-    n = arr.size
-    if not 1 <= int(k) <= n - 1:
-        raise EstimationError("invalid k")
-    return float(arr[n - int(k) - 1])
+    return _order_statistic(order_statistics(sample), k)
 
 
 def log_excess_indicators(values, threshold: float) -> tuple[np.ndarray, np.ndarray]:
@@ -292,3 +299,73 @@ def build_cv_variables(dataset: SemiSupervisedDataset, k: int,
         source_threshold=source_threshold,
         k_target=int(k), k_source=int(k_source),
     )
+
+
+@dataclass(frozen=True, eq=False)
+class Exceedances:
+    """One side's exceedances of the (n-k)-th order statistic of its n coupled values.
+
+    ``indicator`` (0/1), ``excess`` (log-excess, 0.0 off the exceedances) and
+    ``square`` hold the n coupled rows, and ``means`` are their means in that
+    order. ``full`` holds the same three columns over all values, coupled
+    first, when there are extra ones; ``full_means`` are their means, and the
+    very same tuple as ``means`` when there are none. Means are computed on
+    first use. All but ``indicator`` are None when the threshold is not
+    positive.
+    """
+
+    k: int
+    threshold: float
+    indicator: np.ndarray
+    excess: np.ndarray | None = None
+    square: np.ndarray | None = None
+    full: tuple | None = None
+
+    @classmethod
+    def of_columns(cls, k: int, threshold: float, excess: np.ndarray,
+                   indicator: np.ndarray, n: int) -> "Exceedances":
+        """From log-excess and indicator columns over n + m values, coupled first."""
+        square = excess * excess
+        full = (excess, square, indicator) if excess.size > n else None
+        return cls(k=int(k), threshold=threshold, indicator=indicator[:n],
+                   excess=excess[:n], square=square[:n], full=full)
+
+    @cached_property
+    def count(self) -> int:
+        """The realized number of exceedances among the coupled values."""
+        return int(round(self.indicator.sum()))
+
+    @cached_property
+    def means(self) -> tuple | None:
+        if self.excess is None:
+            return None
+        return tuple(column.mean() for column in (self.excess, self.square,
+                                                  self.indicator))
+
+    @cached_property
+    def full_means(self) -> tuple | None:
+        if self.full is None:
+            return self.means
+        return tuple(column.mean() for column in self.full)
+
+
+def exceedances(coupled, k: int, extra=(),
+                ordered: np.ndarray | None = None) -> Exceedances:
+    """Exceedances of ``coupled`` plus ``extra`` values, from one sort.
+
+    The threshold is the (n-k)-th order statistic of the n coupled values;
+    ``ordered`` may pass their sorted copy to skip the sort.
+    """
+    coupled = np.asarray(coupled, dtype=float)
+    n = coupled.size
+    if ordered is None:
+        ordered = order_statistics(coupled)
+    threshold = _order_statistic(ordered, k)
+    if threshold <= 0:
+        return Exceedances(k=int(k), threshold=threshold,
+                           indicator=(coupled > threshold).astype(float))
+    values = coupled
+    if len(extra):
+        values = np.concatenate([coupled, np.asarray(extra, dtype=float)])
+    excess, indicator = log_excess_indicators(values, threshold)
+    return Exceedances.of_columns(k, threshold, excess, indicator, n)

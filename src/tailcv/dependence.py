@@ -13,13 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    CvVariables,
-    EstimationError,
-    SemiSupervisedDataset,
-    threshold_at,
-)
-from .estimators import hill
+from .acv import SufficientStatistics
+from .core import CvVariables, EstimationError, SemiSupervisedDataset, threshold_at
+from .estimators import _ratio
 
 __all__ = [
     "DependenceReport",
@@ -73,17 +69,7 @@ def tail_dependence(paired_target, paired_source, k: int) -> float:
 
 def cv_correlations(variables: CvVariables) -> tuple[float, float]:
     """Pearson correlations (corr(a, b), corr(c, d)) over the coupled sample."""
-    n = variables.n
-    pairs = (
-        (variables.a, variables.b[:n]),
-        (variables.c, variables.d[:n]),
-    )
-    out = []
-    for x, y in pairs:
-        if np.var(x) == 0.0 or np.var(y) == 0.0:
-            raise EstimationError("degenerate control variate")
-        out.append(float(np.corrcoef(x, y)[0, 1]))
-    return out[0], out[1]
+    return SufficientStatistics.from_variables(variables).correlations()
 
 
 def asymptotic_rvr_formula(lambda_hat: float, p: float, c_ab: float,
@@ -108,44 +94,45 @@ def asymptotic_rvr_formula(lambda_hat: float, p: float, c_ab: float,
     return float(lambda_hat * lambda_hat * (m / (n + m)) * shape)
 
 
-def _joint_scaled_excess_moments(dataset: SemiSupervisedDataset, k: int,
-                                 k_source: int, gamma_t_hat: float,
-                                 gamma_s_hat: float) -> tuple[float, float, int]:
-    """Conditional moments (c_ab, c_ad) of scaled log-excesses, joint count.
+def _joint_scaled_excess_moments(stats: SufficientStatistics, gamma_t_hat: float,
+                                 gamma_s_hat: float) -> tuple[float, float]:
+    """Conditional moments (c_ab, c_ad) of scaled log-excesses.
 
     Over indices where both coupled coordinates strictly exceed their
     thresholds, z_t and z_s are the log-excesses scaled by the respective
     index estimates; c_ad = mean(z_t - 1) and c_ab = mean((z_t - 1) * z_s).
     """
-    target = dataset.paired_target
-    source = dataset.paired_source
-    target_threshold = threshold_at(target, k)
-    source_threshold = threshold_at(source, k_source)
-    if target_threshold <= 0 or source_threshold <= 0:
-        raise EstimationError("log-transform undefined")
-    joint = (target > target_threshold) & (source > source_threshold)
-    count = int(joint.sum())
-    if count == 0:
+    target, source = stats.target, stats.source
+    joint = np.logical_and(target.indicator, source.indicator)
+    if not joint.any():
         raise EstimationError("tail dependence too weak to estimate")
-    z_t = (np.log(target[joint]) - np.log(target_threshold)) / gamma_t_hat
-    z_s = (np.log(source[joint]) - np.log(source_threshold)) / gamma_s_hat
+    z_t = target.excess[joint] / gamma_t_hat
+    z_s = source.excess[joint] / gamma_s_hat
     c_ad = float((z_t - 1.0).mean())
     c_ab = float(((z_t - 1.0) * z_s).mean())
-    return c_ab, c_ad, count
+    return c_ab, c_ad
 
 
-def _resolve_gamma_hats(dataset: SemiSupervisedDataset, k: int, k_source: int,
-                        gamma_t_hat: float | None,
+def _resolve_gamma_hats(stats: SufficientStatistics, gamma_t_hat: float | None,
                         gamma_s_hat: float | None) -> tuple[float, float]:
     # Defaults are the Hill estimates on the coupled samples so the
     # diagnostics never depend on the m extra observations.
     if gamma_t_hat is None:
-        gamma_t_hat = hill(dataset.paired_target, k).value
+        gamma_t_hat = _ratio(stats.target)
     if gamma_s_hat is None:
-        gamma_s_hat = hill(dataset.paired_source, k_source).value
+        gamma_s_hat = _ratio(stats.source)
     if gamma_t_hat <= 0 or gamma_s_hat <= 0:
         raise ValueError("scaled log-excesses need positive index estimates")
     return float(gamma_t_hat), float(gamma_s_hat)
+
+
+def _scaled_moments(stats: SufficientStatistics, gamma_t_hat: float | None,
+                    gamma_s_hat: float | None) -> tuple[float, float]:
+    """(c_ab, c_ad) with the given or default index estimates."""
+    if stats.moments is None:  # both sides need log-excesses
+        raise EstimationError(stats.missing)
+    gamma_t_hat, gamma_s_hat = _resolve_gamma_hats(stats, gamma_t_hat, gamma_s_hat)
+    return _joint_scaled_excess_moments(stats, gamma_t_hat, gamma_s_hat)
 
 
 def asymptotic_rvr(dataset: SemiSupervisedDataset, k: int,
@@ -168,14 +155,9 @@ def asymptotic_rvr(dataset: SemiSupervisedDataset, k: int,
         Index estimates used to scale the log-excesses; default to the Hill
         estimates on the coupled target and source samples.
     """
-    if k_source is None:
-        k_source = k
-    gamma_t_hat, gamma_s_hat = _resolve_gamma_hats(dataset, k, k_source,
-                                                   gamma_t_hat, gamma_s_hat)
-    c_ab, c_ad, _ = _joint_scaled_excess_moments(dataset, k, k_source,
-                                                 gamma_t_hat, gamma_s_hat)
-    lambda_hat = tail_dependence(dataset.paired_target, dataset.paired_source, k)
-    return asymptotic_rvr_formula(min(lambda_hat, 1.0), int(k) / dataset.n,
+    stats = SufficientStatistics.of(dataset, k, k_source)
+    c_ab, c_ad = _scaled_moments(stats, gamma_t_hat, gamma_s_hat)
+    return asymptotic_rvr_formula(min(stats.lambda_hat, 1.0), int(k) / dataset.n,
                                   c_ab, c_ad, dataset.n, dataset.m)
 
 
@@ -188,23 +170,19 @@ def dependence_report(dataset: SemiSupervisedDataset, k: int,
     The conditional moments are NaN when there are no joint exceedances
     (weak-dependence samples); all other fields are always populated.
     """
-    from .core import build_cv_variables
+    return _dependence_report(SufficientStatistics.of(dataset, k, k_source),
+                              gamma_t_hat, gamma_s_hat)
 
-    if k_source is None:
-        k_source = k
-    variables = build_cv_variables(dataset, k, k_source)
-    corr_ab, corr_cd = cv_correlations(variables)
-    lambda_hat = tail_dependence(dataset.paired_target, dataset.paired_source, k)
-    k_eff = int(round(variables.c.sum()))
+
+def _dependence_report(stats: SufficientStatistics, gamma_t_hat: float | None = None,
+                       gamma_s_hat: float | None = None) -> DependenceReport:
+    corr_ab, corr_cd = stats.correlations()
     try:
-        gamma_t_hat, gamma_s_hat = _resolve_gamma_hats(dataset, k, k_source,
-                                                       gamma_t_hat, gamma_s_hat)
-        c_ab, c_ad, _ = _joint_scaled_excess_moments(dataset, k, k_source,
-                                                     gamma_t_hat, gamma_s_hat)
-    except (EstimationError, ValueError):
+        c_ab, c_ad = _scaled_moments(stats, gamma_t_hat, gamma_s_hat)
+    except ValueError:  # EstimationError included
         c_ab, c_ad = float("nan"), float("nan")
     return DependenceReport(
-        lambda_hat=lambda_hat, corr_ab=corr_ab, corr_cd=corr_cd,
-        c_ad_hat=c_ad, c_ab_hat=c_ab, p_hat=k_eff / dataset.n,
-        lambda_clipped=lambda_hat > 1.0,
+        lambda_hat=stats.lambda_hat, corr_ab=corr_ab, corr_cd=corr_cd,
+        c_ad_hat=c_ad, c_ab_hat=c_ab, p_hat=stats.target.count / stats.n,
+        lambda_clipped=stats.lambda_hat > 1.0,
     )

@@ -13,12 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .acv import SufficientStatistics
 from .core import (
     EstimationError,
     EviEstimate,
+    Exceedances,
     Method,
-    log_excess_indicators,
-    threshold_at,
+    exceedances,
+    order_statistics,
 )
 
 __all__ = [
@@ -30,12 +32,14 @@ __all__ = [
 ]
 
 
-def _ratio_of_means(excess: np.ndarray, indicator: np.ndarray) -> tuple[float, int]:
-    """Mean excess over mean indicator, with the realized exceedance count."""
-    denom = indicator.mean()
+def _ratio(side: Exceedances, power: int = 1) -> float:
+    """Mean log-excess (power 1) or squared log-excess (2) over mean indicator."""
+    if side.means is None:
+        raise EstimationError("log-transform undefined")
+    denom = side.means[2]
     if denom == 0.0:
         raise EstimationError("no exceedances")
-    return float(excess.mean() / denom), int(round(indicator.sum()))
+    return float(side.means[power - 1] / denom)
 
 
 def moment_from_log_moments(m1: float, m2: float, strict: bool = True) -> float:
@@ -73,11 +77,14 @@ def hill(sample, k: int) -> EviEstimate:
         ``value`` is the mean log-excess over the strict exceedance fraction;
         ``variance_estimate`` is the asymptotic value**2 / k_eff.
     """
-    threshold = threshold_at(sample, k)
-    excess, indicator = log_excess_indicators(sample, threshold)
-    value, k_eff = _ratio_of_means(excess, indicator)
+    return _hill(SufficientStatistics(exceedances(sample, k)))
+
+
+def _hill(stats: SufficientStatistics) -> EviEstimate:
+    value = _ratio(stats.target)
+    k_eff = stats.target.count
     return EviEstimate(
-        value=value, method=Method.HILL, k=int(k), k_eff=k_eff,
+        value=value, method=Method.HILL, k=stats.target.k, k_eff=k_eff,
         variance_estimate=value * value / k_eff,
     )
 
@@ -88,12 +95,14 @@ def moment(sample, k: int) -> EviEstimate:
     Uses the first and second empirical log-excess moments over the strict
     exceedance set. No variance estimate is attached.
     """
-    threshold = threshold_at(sample, k)
-    excess, indicator = log_excess_indicators(sample, threshold)
-    m1, k_eff = _ratio_of_means(excess, indicator)
-    m2 = float((excess * excess).mean() / indicator.mean())
-    value = moment_from_log_moments(m1, m2, strict=True)
-    return EviEstimate(value=value, method=Method.MOMENT, k=int(k), k_eff=k_eff)
+    return _moment(SufficientStatistics(exceedances(sample, k)))
+
+
+def _moment(stats: SufficientStatistics) -> EviEstimate:
+    value = moment_from_log_moments(_ratio(stats.target), _ratio(stats.target, 2),
+                                    strict=True)
+    return EviEstimate(value=value, method=Method.MOMENT, k=stats.target.k,
+                       k_eff=stats.target.count)
 
 
 @dataclass(frozen=True)
@@ -131,10 +140,12 @@ def hill_plot(sample, k_min: int, k_max: int, step: int = 1) -> HillPlotSeries:
     k_values = np.arange(int(k_min), int(k_max) + 1, int(step))
     if k_values.size == 0:
         raise ValueError("empty k range")
+    ordered = order_statistics(arr)
     estimates = np.empty(k_values.size)
     for i, k in enumerate(k_values):
         try:
-            estimates[i] = hill(arr, int(k)).value
+            side = exceedances(arr, int(k), ordered=ordered)
+            estimates[i] = _hill(SufficientStatistics(side)).value
         except EstimationError:
             estimates[i] = np.nan
     return HillPlotSeries(k_values=k_values, estimates=estimates)

@@ -21,26 +21,17 @@ from functools import partial
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .acv import variance_difference_plugin
+from .acv import SufficientStatistics
 from .core import (
     EstimationError,
     Method,
     SemiSupervisedDataset,
-    build_cv_variables,
+    exceedances,
+    order_statistics,
 )
-from .dependence import (
-    DependenceReport,
-    _joint_scaled_excess_moments,
-    _resolve_gamma_hats,
-    asymptotic_rvr_formula,
-    cv_correlations,
-    tail_dependence,
-)
-from .estimators import _ratio_of_means, hill, moment, moment_from_log_moments
-from .transfer import (
-    transferred_hill_from_variables,
-    transferred_moment_from_variables,
-)
+from .dependence import DependenceReport, _scaled_moments, asymptotic_rvr_formula
+from .estimators import _hill
+from .transfer import ESTIMATORS
 
 __all__ = [
     "Marginal",
@@ -241,8 +232,8 @@ class ExperimentConfig:
             raise ValueError("gamma_t must be positive")
         if self.theta < 1.0:
             raise ValueError("theta must be >= 1")
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
+        if self.n < 3:
+            raise ValueError("n must be at least 3")
         if self.m < 0:
             raise ValueError("m must be non-negative")
         if self.y_m <= 0:
@@ -321,63 +312,38 @@ _DIAGNOSTIC_KEYS = ("lambda_hat", "corr_ab", "corr_cd", "c_ad_hat", "c_ab_hat",
                     "p_hat", "asymptotic_rvr")
 
 
-def _estimate_from_variables(method: Method, variables) -> float:
-    if method is Method.HILL:
-        return _ratio_of_means(variables.a, variables.c)[0]
-    if method is Method.MOMENT:
-        m1, _ = _ratio_of_means(variables.a, variables.c)
-        m2, _ = _ratio_of_means(variables.g, variables.c)
-        return moment_from_log_moments(m1, m2, strict=True)
-    if method is Method.TRANSFERRED_HILL:
-        return transferred_hill_from_variables(variables).value
-    return transferred_moment_from_variables(variables).value
-
-
 def _run_replication(config: ExperimentConfig, replication_index: int) -> dict:
     """One replication: dataset, requested estimates, dependence diagnostics."""
     dataset = generate_dataset(config, replication_index)
-    record = {key: float("nan") for key in _DIAGNOSTIC_KEYS}
-    variables = None
-    try:
-        variables = build_cv_variables(dataset, config.k, config.k_source)
-    except (EstimationError, ValueError):
-        pass
-    for method in config.estimators:
-        value = float("nan")
+    return _replication_record(
+        SufficientStatistics.of(dataset, config.k, config.k_source),
+        config.estimators)
+
+
+def _replication_record(stats: SufficientStatistics, estimators) -> dict:
+    """Estimates and diagnostics of one dataset, NaN where one fails."""
+    record = dict.fromkeys(_DIAGNOSTIC_KEYS + tuple(m.value for m in estimators),
+                           float("nan"))
+    for method in estimators:
         try:
-            if variables is not None:
-                value = _estimate_from_variables(method, variables)
-            elif not method.is_transferred:
-                sample = dataset.paired_target
-                estimator = hill if method is Method.HILL else moment
-                value = estimator(sample, config.k).value
+            record[method.value] = ESTIMATORS[method](stats).value
         except EstimationError:
             pass
-        record[method.value] = value
-    try:
-        record["lambda_hat"] = tail_dependence(dataset.paired_target,
-                                               dataset.paired_source, config.k)
-    except (EstimationError, ValueError):
-        pass
-    if variables is not None:
+    record["lambda_hat"] = stats.lambda_hat
+    if stats.moments is not None:
+        record["p_hat"] = stats.target.count / stats.n
         try:
-            record["corr_ab"], record["corr_cd"] = cv_correlations(variables)
+            record["corr_ab"], record["corr_cd"] = stats.correlations()
         except EstimationError:
             pass
-        record["p_hat"] = float(round(variables.c.sum())) / config.n
     try:
-        gamma_t_hat, gamma_s_hat = _resolve_gamma_hats(
-            dataset, config.k, config.k_source, None, None)
-        c_ab, c_ad, _ = _joint_scaled_excess_moments(
-            dataset, config.k, config.k_source, gamma_t_hat, gamma_s_hat)
-        record["c_ab_hat"], record["c_ad_hat"] = c_ab, c_ad
-        lambda_hat = record["lambda_hat"]
-        if math.isfinite(lambda_hat):
-            record["asymptotic_rvr"] = asymptotic_rvr_formula(
-                min(lambda_hat, 1.0), config.k / config.n, c_ab, c_ad,
-                config.n, config.m)
-    except (EstimationError, ValueError):
-        pass
+        c_ab, c_ad = _scaled_moments(stats, None, None)
+    except ValueError:  # EstimationError included
+        return record
+    record["c_ab_hat"], record["c_ad_hat"] = c_ab, c_ad
+    record["asymptotic_rvr"] = asymptotic_rvr_formula(
+        min(stats.lambda_hat, 1.0), stats.target.k / stats.n, c_ab, c_ad,
+        stats.n, stats.m)
     return record
 
 
@@ -565,19 +531,24 @@ class ThresholdScanPoint:
 
 def _scan_replication(config: ExperimentConfig, l_values: tuple,
                       replication_index: int) -> np.ndarray:
+    # The target side and the source sort are shared by every l; each l
+    # rebuilds only the coupled source columns and the moment matrix, since
+    # the plug-in reads the n coupled rows and uses m only as a count.
     dataset = generate_dataset(config, replication_index)
     try:
-        baseline = hill(dataset.paired_target, config.k)
+        target = exceedances(dataset.paired_target, config.k)
+        baseline = _hill(SufficientStatistics(target))
     except EstimationError:
         return np.full(len(l_values), np.nan)
-    base_variance = baseline.variance_estimate
+    ordered = order_statistics(dataset.paired_source)
     out = np.empty(len(l_values))
     for j, l in enumerate(l_values):
         try:
-            variables = build_cv_variables(dataset, config.k, int(l))
-            difference = variance_difference_plugin(variables, baseline.value)
-            out[j] = base_variance - difference
-        except (EstimationError, ValueError):
+            source = exceedances(dataset.paired_source, l, ordered=ordered)
+            stats = SufficientStatistics(target, source, dataset.m)
+            out[j] = (baseline.variance_estimate
+                      - stats.variance_difference(baseline.value))
+        except EstimationError:
             out[j] = np.nan
     return out
 
@@ -673,12 +644,10 @@ def bootstrap_study(dataset: SemiSupervisedDataset, n_sub: int, resamples: int,
     pool = dataset.n
     if n_sub > pool:
         raise ValueError("n_sub exceeds the coupled pool size")
-    if n_sub < 2:
-        raise ValueError("n_sub must be at least 2")
+    if n_sub < 3:
+        raise ValueError("n_sub must be at least 3")
     if resamples < 1:
         raise ValueError("resamples must be positive")
-    if k_source is None:
-        k_source = k
     estimates = {method.value: np.full(resamples, np.nan) for method in methods}
     for index in range(resamples):
         rng = _stream(seed, index, _ROLE_BOOTSTRAP)
@@ -694,23 +663,15 @@ def bootstrap_study(dataset: SemiSupervisedDataset, n_sub: int, resamples: int,
             extra_source=np.concatenate([dataset.paired_source[rest],
                                          dataset.extra_source]),
         )
-        variables = None
         try:
-            variables = build_cv_variables(subsample, k, k_source)
-        except (EstimationError, ValueError):
-            pass
+            stats = SufficientStatistics.of(subsample, k, k_source)
+        except EstimationError:
+            continue
         for method in methods:
             try:
-                if variables is not None:
-                    value = _estimate_from_variables(method, variables)
-                elif not method.is_transferred:
-                    estimator = hill if method is Method.HILL else moment
-                    value = estimator(subsample.paired_target, k).value
-                else:
-                    continue
+                estimates[method.value][index] = ESTIMATORS[method](stats).value
             except EstimationError:
-                continue
-            estimates[method.value][index] = value
+                pass
     failures = {
         name: int(np.count_nonzero(~np.isfinite(values)))
         for name, values in estimates.items()

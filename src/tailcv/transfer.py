@@ -10,18 +10,18 @@ bit-for-bit.
 
 from __future__ import annotations
 
-from .acv import acv_ratio_coefficients, corrected_ratio, variance_difference_plugin
+from .acv import SufficientStatistics
 from .core import (
     CvVariables,
     EviEstimate,
     Method,
     SemiSupervisedDataset,
     TransferCoefficients,
-    build_cv_variables,
 )
-from .estimators import _ratio_of_means, moment_from_log_moments
+from .estimators import _hill, _moment, _ratio, moment_from_log_moments
 
 __all__ = [
+    "ESTIMATORS",
     "transferred_hill",
     "transferred_hill_from_variables",
     "transferred_moment",
@@ -29,26 +29,54 @@ __all__ = [
 ]
 
 
-def transferred_hill_from_variables(variables: CvVariables) -> EviEstimate:
-    """Transferred Hill estimate from pre-built control-variate variables."""
-    n = variables.n
-    a, c = variables.a, variables.c
-    r_plugin, k_eff = _ratio_of_means(a, c)
-    coefficients = acv_ratio_coefficients(a, variables.b[:n], c, variables.d[:n],
-                                          r_plugin)
-    value = corrected_ratio(a, variables.b, c, variables.d, coefficients)
+def _transferred_hill(stats: SufficientStatistics) -> EviEstimate:
+    r_plugin = _ratio(stats.target)
+    coefficients = stats.coefficients(1, r_plugin)
+    value = stats.corrected_ratio(1, coefficients)
+    k_eff = stats.target.count
     base_variance = r_plugin * r_plugin / k_eff
     if coefficients.degenerate:
         variance = base_variance
     else:
-        variance = base_variance - variance_difference_plugin(variables, r_plugin)
+        variance = base_variance - stats.variance_difference(r_plugin)
     record = TransferCoefficients(alpha=coefficients.alpha, beta=coefficients.beta,
                                   degenerate=coefficients.degenerate)
     return EviEstimate(
-        value=value, method=Method.TRANSFERRED_HILL, k=variables.k_target,
+        value=value, method=Method.TRANSFERRED_HILL, k=stats.target.k,
         k_eff=k_eff, coefficients=record,
         variance_estimate=max(variance, 0.0),
     )
+
+
+def _transferred_moment(stats: SufficientStatistics) -> EviEstimate:
+    m1_plugin = _ratio(stats.target)
+    m2_plugin = _ratio(stats.target, 2)
+    first = stats.coefficients(1, m1_plugin)
+    second = stats.coefficients(2, m2_plugin)
+    value = moment_from_log_moments(stats.corrected_ratio(1, first),
+                                    stats.corrected_ratio(2, second), strict=False)
+    record = TransferCoefficients(
+        alpha=first.alpha, beta=first.beta,
+        alpha_prime=second.alpha, beta_prime=second.beta,
+        degenerate=first.degenerate, degenerate_second=second.degenerate,
+    )
+    return EviEstimate(value=value, method=Method.TRANSFERRED_MOMENT,
+                       k=stats.target.k, k_eff=stats.target.count,
+                       coefficients=record)
+
+
+# The one dispatch table: every estimator reads the same statistics object.
+ESTIMATORS = {
+    Method.HILL: _hill,
+    Method.MOMENT: _moment,
+    Method.TRANSFERRED_HILL: _transferred_hill,
+    Method.TRANSFERRED_MOMENT: _transferred_moment,
+}
+
+
+def transferred_hill_from_variables(variables: CvVariables) -> EviEstimate:
+    """Transferred Hill estimate from pre-built control-variate variables."""
+    return _transferred_hill(SufficientStatistics.from_variables(variables))
 
 
 def transferred_hill(dataset: SemiSupervisedDataset, k: int,
@@ -74,30 +102,12 @@ def transferred_hill(dataset: SemiSupervisedDataset, k: int,
         degenerate coefficient system the value equals ``hill`` on the
         coupled target sample exactly.
     """
-    variables = build_cv_variables(dataset, k, k_source)
-    return transferred_hill_from_variables(variables)
+    return _transferred_hill(SufficientStatistics.of(dataset, k, k_source))
 
 
 def transferred_moment_from_variables(variables: CvVariables) -> EviEstimate:
     """Transferred moment estimate from pre-built control-variate variables."""
-    n = variables.n
-    a, c, g = variables.a, variables.c, variables.g
-    b_coupled, d_coupled = variables.b[:n], variables.d[:n]
-    h_coupled = variables.h[:n]
-    m1_plugin, k_eff = _ratio_of_means(a, c)
-    m2_plugin, _ = _ratio_of_means(g, c)
-    first = acv_ratio_coefficients(a, b_coupled, c, d_coupled, m1_plugin)
-    second = acv_ratio_coefficients(g, h_coupled, c, d_coupled, m2_plugin)
-    m1_corrected = corrected_ratio(a, variables.b, c, variables.d, first)
-    m2_corrected = corrected_ratio(g, variables.h, c, variables.d, second)
-    value = moment_from_log_moments(m1_corrected, m2_corrected, strict=False)
-    record = TransferCoefficients(
-        alpha=first.alpha, beta=first.beta,
-        alpha_prime=second.alpha, beta_prime=second.beta,
-        degenerate=first.degenerate, degenerate_second=second.degenerate,
-    )
-    return EviEstimate(value=value, method=Method.TRANSFERRED_MOMENT,
-                       k=variables.k_target, k_eff=k_eff, coefficients=record)
+    return _transferred_moment(SufficientStatistics.from_variables(variables))
 
 
 def transferred_moment(dataset: SemiSupervisedDataset, k: int,
@@ -113,5 +123,4 @@ def transferred_moment(dataset: SemiSupervisedDataset, k: int,
     independently when degenerate; if both degenerate (or m = 0) the value
     equals ``moment`` on the coupled target sample exactly.
     """
-    variables = build_cv_variables(dataset, k, k_source)
-    return transferred_moment_from_variables(variables)
+    return _transferred_moment(SufficientStatistics.of(dataset, k, k_source))

@@ -117,6 +117,8 @@ def test_config_accepts_method_names():
     dict(gamma_t=-1.0), dict(theta=0.5), dict(n=1), dict(m=-1),
     dict(k=0), dict(k=1000), dict(replications=0), dict(seed=-1),
     dict(estimators=("hill", "hill")),
+    # Two pairs used to pass here and abort the study mid-run.
+    dict(n=2, k=1),
 ])
 def test_config_validation(kwargs):
     base = dict(gamma_t=0.5, theta=2.0, n=1000, m=500,
@@ -313,6 +315,8 @@ def test_bootstrap_validation(bootstrap_pool):
                         resamples=5, k=10)
     with pytest.raises(ValueError):
         bootstrap_study(bootstrap_pool, n_sub=1, resamples=5, k=10)
+    with pytest.raises(ValueError, match="at least 3"):
+        bootstrap_study(bootstrap_pool, n_sub=2, resamples=5, k=1)
     with pytest.raises(ValueError):
         bootstrap_study(bootstrap_pool, n_sub=100, resamples=0, k=10)
 
