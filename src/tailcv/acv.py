@@ -32,7 +32,6 @@ __all__ = [
     "cv_coefficient",
     "acv_ratio_coefficients",
     "corrected_ratio",
-    "acv_ratio_estimate",
     "variance_difference_plugin",
 ]
 
@@ -72,10 +71,6 @@ class MomentStatistics:
     means: np.ndarray
     covariance: np.ndarray
     count: int
-
-    @property
-    def variances(self) -> np.ndarray:
-        return np.diag(self.covariance)
 
 
 def moment_statistics(*sequences) -> MomentStatistics:
@@ -184,16 +179,6 @@ def _shifted_ratio(numerator, numerator_shift, denominator, denominator_shift,
     if denominator == 0.0:
         raise EstimationError("degenerate denominator")
     return float(numerator / denominator)
-
-
-def acv_ratio_estimate(variables: CvVariables, coefficients: AcvCoefficients) -> float:
-    """The ACV/ACV ratio estimate on a built set of control-variate variables.
-
-    Evaluates (mean(a) + alpha*(mean(b over n+m) - mean(b over n))) over the
-    analogous denominator expression in (c, d).
-    """
-    return corrected_ratio(variables.a, variables.b, variables.c, variables.d,
-                           coefficients)
 
 
 def variance_difference_plugin(variables: CvVariables, gamma_hat: float) -> float:

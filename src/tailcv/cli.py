@@ -23,12 +23,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .acv import SufficientStatistics
-from .core import EstimationError, EviEstimate, Method, SemiSupervisedDataset
+from .core import EstimationError, Method, SemiSupervisedDataset, _json_fields
 from .dependence import _dependence_report
 from .estimators import hill_plot
 from .simulate import (
@@ -44,7 +44,6 @@ from .transfer import ESTIMATORS
 __all__ = [
     "DataFile",
     "load_data_file",
-    "load_semi_supervised_csv",
     "write_semi_supervised_csv",
     "load_experiment_config",
     "main",
@@ -59,14 +58,6 @@ class DataFile:
 
     path: str
     dataset: SemiSupervisedDataset
-
-    @property
-    def n(self) -> int:
-        return self.dataset.n
-
-    @property
-    def m(self) -> int:
-        return self.dataset.m
 
 
 def _parse_cell(text: str, path: str, line: int) -> float:
@@ -118,11 +109,6 @@ def load_data_file(path: str) -> DataFile:
         extra_source=np.array(extras),
     )
     return DataFile(path=path, dataset=dataset)
-
-
-def load_semi_supervised_csv(path: str) -> SemiSupervisedDataset:
-    """Parse a target,source CSV file; see load_data_file."""
-    return load_data_file(path).dataset
 
 
 def _fmt(value: float) -> str:
@@ -252,38 +238,6 @@ def load_experiment_config(path: str) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def _json_safe(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {key: _json_safe(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(item) for item in value]
-    return value
-
-
-def _estimate_record(estimate: EviEstimate) -> dict:
-    record = {
-        "value": estimate.value,
-        "k": estimate.k,
-        "k_eff": estimate.k_eff,
-        "variance_estimate": estimate.variance_estimate,
-    }
-    if estimate.coefficients is not None:
-        coeffs = estimate.coefficients
-        record["coefficients"] = {
-            "alpha": coeffs.alpha,
-            "beta": coeffs.beta,
-            "alpha_prime": coeffs.alpha_prime,
-            "beta_prime": coeffs.beta_prime,
-            "degenerate": coeffs.degenerate,
-            "degenerate_second": coeffs.degenerate_second,
-        }
-    else:
-        record["coefficients"] = None
-    return record
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -295,7 +249,7 @@ def _write_text(path: str | None, text: str) -> None:
 def _cmd_estimate(args) -> int:
     data = load_data_file(args.data)
     dataset = data.dataset
-    print(f"loaded {data.path}: n={data.n} coupled, m={data.m} extra",
+    print(f"loaded {data.path}: n={dataset.n} coupled, m={dataset.m} extra",
           file=sys.stderr)
     explicit = args.methods is not None
     if explicit:
@@ -320,11 +274,12 @@ def _cmd_estimate(args) -> int:
                 return 1
             print(f"diagnostic: {method.value}: {exc}", file=sys.stderr)
             continue
-        estimates[method.value] = _estimate_record(estimate)
+        # The method already keys the record.
+        estimates[method.value] = _json_fields(estimate, omit=("method",))
     try:
         if failure is not None:
             raise failure
-        dependence = asdict(_dependence_report(stats))
+        dependence = _json_fields(_dependence_report(stats))
     except (EstimationError, ValueError) as exc:
         print(f"diagnostic: dependence report unavailable: {exc}",
               file=sys.stderr)
@@ -337,21 +292,14 @@ def _cmd_estimate(args) -> int:
         "estimates": estimates,
         "dependence": dependence,
     }
-    _write_text(args.out, json.dumps(_json_safe(payload), indent=2) + "\n")
+    _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     return 0
 
 
 def _load_config_with_overrides(args) -> ExperimentConfig:
     config = load_experiment_config(args.config)
     if getattr(args, "seed", None) is not None:
-        fields = config.to_dict()
-        config = ExperimentConfig(
-            gamma_t=fields["gamma_t"], theta=fields["theta"], n=fields["n"],
-            m=fields["m"], source_marginal=config.source_marginal,
-            k=fields["k"], k_source=fields["k_source"],
-            replications=fields["replications"], seed=args.seed,
-            estimators=config.estimators, y_m=fields["y_m"],
-        )
+        config = replace(config, seed=args.seed)
     return config
 
 
@@ -390,39 +338,17 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-_SWEEP_CASTS = {
-    "theta": float,
-    "m": int,
-    "n": int,
-    "gamma_t": float,
-    "gamma_s": float,
-}
+_SWEEP_CASTS = {key: _CONFIG_TYPES[key]
+                for key in ("theta", "m", "n", "gamma_t", "gamma_s")}
 
 
 def _config_with(config: ExperimentConfig, vary: str, value) -> ExperimentConfig:
-    fields = {
-        "gamma_t": config.gamma_t,
-        "theta": config.theta,
-        "n": config.n,
-        "m": config.m,
-        "source_marginal": config.source_marginal,
-        "k": config.k,
-        "k_source": config.k_source,
-        "replications": config.replications,
-        "seed": config.seed,
-        "estimators": config.estimators,
-        "y_m": config.y_m,
-    }
     if vary == "gamma_s":
-        fields["source_marginal"] = marginal_for_evi(value, config.y_m)
-    elif vary == "n":
+        return replace(config, source_marginal=marginal_for_evi(value, config.y_m))
+    if vary == "n":
         # k and k_source revert to their defaults for the new sample size.
-        fields["n"] = value
-        fields["k"] = None
-        fields["k_source"] = None
-    else:
-        fields[vary] = value
-    return ExperimentConfig(**fields)
+        return replace(config, n=value, k=None, k_source=None)
+    return replace(config, **{vary: value})
 
 
 def _cmd_rvr_sweep(args) -> int:
@@ -457,7 +383,7 @@ def _cmd_rvr_sweep(args) -> int:
 
 
 def _cmd_hill_plot(args) -> int:
-    dataset = load_semi_supervised_csv(args.data)
+    dataset = load_data_file(args.data).dataset
     series = hill_plot(dataset.paired_target, args.k_min, args.k_max, args.step)
     rows = [[int(k), _fmt(estimate)]
             for k, estimate in zip(series.k_values, series.estimates)]
@@ -473,11 +399,19 @@ def _cmd_threshold_scan(args) -> int:
              point.negative_count, point.failed] for point in points]
     _write_csv(args.out, ["l", "median", "q1", "q3", "negative_count", "failed"],
                rows)
+    medians = np.array([point.median for point in points])
+    if np.isnan(medians).all():
+        print("median analytic variance: no finite median at any l",
+              file=sys.stderr)
+    else:
+        best = points[int(np.nanargmin(medians))]
+        print(f"median analytic variance minimized at l = {best.l}",
+              file=sys.stderr)
     return 0
 
 
 def _cmd_bootstrap(args) -> int:
-    dataset = load_semi_supervised_csv(args.data)
+    dataset = load_data_file(args.data).dataset
     methods = (_parse_methods(args.methods) if args.methods is not None
                else (Method.HILL, Method.MOMENT, Method.TRANSFERRED_HILL,
                      Method.TRANSFERRED_MOMENT))

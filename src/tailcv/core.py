@@ -8,7 +8,8 @@ threshold, the (n-k)-th ascending order statistic, with strict exceedance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -369,3 +370,32 @@ def exceedances(coupled, k: int, extra=(),
         values = np.concatenate([coupled, np.asarray(extra, dtype=float)])
     excess, indicator = log_excess_indicators(values, threshold)
     return Exceedances.of_columns(k, threshold, excess, indicator, n)
+
+
+def _json_fields(obj, omit=()) -> dict:
+    """The fields of dataclass ``obj`` as plain JSON data, in declaration order.
+
+    Fields named in ``omit`` are left out, at every depth. Nested values
+    convert as follows: an object with its own ``to_dict`` (a ``Marginal``,
+    which alone knows which parameters its family has) gives that dict, any
+    other dataclass the dict of its fields, an Enum its value, a tuple or
+    list a list, a dict a dict, and NaN or an infinity None (null).
+    """
+    return {f.name: _json_value(getattr(obj, f.name), omit)
+            for f in fields(obj) if f.name not in omit}
+
+
+def _json_value(value, omit):
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if is_dataclass(value):
+        return _json_fields(value, omit)
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, dict):
+        return {key: _json_value(item, omit) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(item, omit) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value

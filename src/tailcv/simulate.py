@@ -12,7 +12,6 @@ can run in any order or in parallel with bit-identical results.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -26,6 +25,7 @@ from .core import (
     EstimationError,
     Method,
     SemiSupervisedDataset,
+    _json_fields,
     exceedances,
     order_statistics,
 )
@@ -35,7 +35,6 @@ from .transfer import ESTIMATORS
 
 __all__ = [
     "Marginal",
-    "marginal_quantile",
     "marginal_for_evi",
     "sample_gumbel_copula",
     "ExperimentConfig",
@@ -140,11 +139,6 @@ class Marginal:
         elif self.family == "beta":
             out.update(shape_b=self.shape_b)
         return out
-
-
-def marginal_quantile(u, marginal: Marginal):
-    """Quantile of ``marginal`` at u in (0, 1); accepts arrays."""
-    return marginal.quantile(u)
 
 
 def marginal_for_evi(gamma: float, y_m: float = 1e-3) -> Marginal:
@@ -254,21 +248,6 @@ class ExperimentConfig:
     @property
     def target_marginal(self) -> Marginal:
         return Marginal.pareto(self.gamma_t, self.y_m)
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma_t": self.gamma_t,
-            "theta": self.theta,
-            "n": self.n,
-            "m": self.m,
-            "source_marginal": self.source_marginal.to_dict(),
-            "k": self.k,
-            "k_source": self.k_source,
-            "replications": self.replications,
-            "seed": self.seed,
-            "estimators": [method.value for method in self.estimators],
-            "y_m": self.y_m,
-        }
 
 
 def generate_dataset(config: ExperimentConfig,
@@ -407,44 +386,12 @@ class RvrReport:
     asymptotic_rvr_mean: float
 
     def to_dict(self) -> dict:
-        def clean(x):
-            if isinstance(x, float) and not math.isfinite(x):
-                return None
-            return x
+        """JSON-ready report without the per-replication estimates.
 
-        return {
-            "config": self.config.to_dict(),
-            "replications": self.replications,
-            "summaries": {
-                name: {
-                    "mean": clean(s.mean),
-                    "variance": clean(s.variance),
-                    "bias": clean(s.bias),
-                    "failures": s.failures,
-                }
-                for name, s in self.summaries.items()
-            },
-            "pairs": [
-                {
-                    "baseline": p.baseline.value,
-                    "transferred": p.transferred.value,
-                    "variance_baseline": clean(p.variance_baseline),
-                    "variance_transferred": clean(p.variance_transferred),
-                    "rvr": clean(p.rvr),
-                }
-                for p in self.pairs
-            ],
-            "dependence": {
-                "lambda_hat": clean(self.dependence.lambda_hat),
-                "corr_ab": clean(self.dependence.corr_ab),
-                "corr_cd": clean(self.dependence.corr_cd),
-                "c_ad_hat": clean(self.dependence.c_ad_hat),
-                "c_ab_hat": clean(self.dependence.c_ab_hat),
-                "p_hat": clean(self.dependence.p_hat),
-                "lambda_clipped": self.dependence.lambda_clipped,
-            },
-            "asymptotic_rvr_mean": clean(self.asymptotic_rvr_mean),
-        }
+        The method already keys each summary, so its ``method`` field is
+        left out.
+        """
+        return _json_fields(self, omit=("estimates", "method"))
 
 
 def run_rvr_experiment(config: ExperimentConfig,
@@ -454,7 +401,8 @@ def run_rvr_experiment(config: ExperimentConfig,
     Replications are independent and may run in a process pool (``workers``
     argument, else the TAILCV_WORKERS environment variable, else serial); the
     report is bit-identical for any worker count. An estimator failing in
-    more than 10% of replications aborts with "unstable configuration".
+    more than 10% of replications aborts with "unstable configuration",
+    naming the estimator and its failure count.
 
     Parameters
     ----------
@@ -476,7 +424,9 @@ def run_rvr_experiment(config: ExperimentConfig,
         values = estimates[method.value]
         failures = int(np.count_nonzero(~np.isfinite(values)))
         if failures > 0.1 * config.replications:
-            raise EstimationError("unstable configuration")
+            raise EstimationError(
+                f"unstable configuration: {method.value} failed in "
+                f"{failures}/{config.replications} replications")
         mean = _nanmean(values)
         summaries[method.value] = EstimatorSummary(
             method=method, mean=mean, variance=_nanvar(values),

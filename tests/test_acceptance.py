@@ -20,7 +20,6 @@ from tailcv import (
     ExperimentConfig,
     Method,
     acv_ratio_coefficients,
-    acv_ratio_estimate,
     build_cv_variables,
     corrected_ratio,
     cv_coefficient,
@@ -220,8 +219,9 @@ def test_criterion_09_hand_oracles(tiny_dataset, check_criterion):
                                extra_source=np.full(5, 16.0))
     unit = AcvCoefficients(alpha=1.0, beta=1.0, determinant=1.0,
                            degenerate=False)
-    errors["acv_estimate"] = abs(acv_ratio_estimate(build_cv_variables(ds, 2),
-                                                    unit) - 13.0 * LN2 / 7.0)
+    v = build_cv_variables(ds, 2)
+    errors["acv_estimate"] = abs(corrected_ratio(v.a, v.b, v.c, v.d, unit)
+                                 - 13.0 * LN2 / 7.0)
 
     # Ratio-of-means form versus mean-over-top-k form on tie-free samples.
     rng = _stream(9, 0, 0)

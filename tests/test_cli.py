@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from tailcv import (
 from tailcv.cli import (
     load_data_file,
     load_experiment_config,
-    load_semi_supervised_csv,
     main,
     write_semi_supervised_csv,
 )
@@ -37,6 +37,18 @@ seed = 7
 """
 
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# (theta, replications) of each shipped config; every other design value is
+# the headline study's.
+SHIPPED_CONFIGS = {
+    "headline.cfg": (10.0, 2000),
+    "weak.cfg": (1.4, 2000),
+    "sweep-base.cfg": (5.0, 2000),
+    "scan.cfg": (5.0, 800),
+}
+
+
 @pytest.fixture()
 def data_path(tmp_path):
     path = tmp_path / "data.csv"
@@ -55,8 +67,8 @@ def config_path(tmp_path):
 
 def test_load_data_file_counts(data_path):
     data = load_data_file(data_path)
-    assert data.n == 3
-    assert data.m == 1
+    assert data.dataset.n == 3
+    assert data.dataset.m == 1
     np.testing.assert_array_equal(data.dataset.paired_target, [1.0, 2.0, 4.0])
     np.testing.assert_array_equal(data.dataset.extra_source, [9.0])
 
@@ -92,13 +104,13 @@ def test_load_data_file_rejects_short_files(tmp_path):
 def test_load_data_file_skips_blank_lines(tmp_path):
     path = tmp_path / "gaps.csv"
     path.write_text("target,source\n1,2\n\n3,4\n\n5,6\n")
-    assert load_data_file(str(path)).n == 3
+    assert load_data_file(str(path)).dataset.n == 3
 
 
 def test_csv_round_trip_preserves_estimates(tmp_path, theta5_dataset):
     path = tmp_path / "round.csv"
     write_semi_supervised_csv(str(path), theta5_dataset)
-    reloaded = load_semi_supervised_csv(str(path))
+    reloaded = load_data_file(str(path)).dataset
     np.testing.assert_array_equal(reloaded.paired_target,
                                   theta5_dataset.paired_target)
     np.testing.assert_array_equal(reloaded.extra_source,
@@ -121,11 +133,14 @@ def test_load_experiment_config_full(config_path):
     assert config.replications == 30
 
 
-def test_load_shipped_headline_config():
-    config = load_experiment_config("configs/headline.cfg")
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")),
+                         ids=lambda path: path.name)
+def test_load_shipped_config(path):
+    config = load_experiment_config(str(path))
     assert (config.n, config.m, config.k) == (1000, 5000, 100)
-    assert config.theta == 10.0
-    assert config.source_marginal.gamma == 0.5
+    assert config.source_marginal == Marginal.pareto(0.5)
+    assert config.seed == 20260826
+    assert (config.theta, config.replications) == SHIPPED_CONFIGS[path.name]
 
 
 def test_config_gamma_s_sign_dispatch(tmp_path):
@@ -181,7 +196,12 @@ def test_estimate_auto_methods_and_diagnostics(data_path, capsys):
     hill_record = payload["estimates"]["hill"]
     assert abs(hill_record["value"] - math.log(2.0)) < 1e-15
     assert hill_record["coefficients"] is None
-    assert payload["estimates"]["transferred_hill"]["coefficients"] is not None
+    record_keys = {"value", "k", "k_eff", "variance_estimate", "coefficients"}
+    for record in payload["estimates"].values():
+        assert set(record) == record_keys
+    coefficients = payload["estimates"]["transferred_hill"]["coefficients"]
+    assert set(coefficients) == {"alpha", "beta", "alpha_prime", "beta_prime",
+                                 "degenerate", "degenerate_second"}
 
 
 def test_estimate_explicit_failure_is_fatal(data_path, capsys):
@@ -291,13 +311,33 @@ def test_hill_plot_table(tmp_path, capsys):
 def test_threshold_scan_table(tmp_path, config_path, capsys):
     assert main(["threshold-scan", "--config", config_path, "--l-min", "5",
                  "--l-max", "15", "--step", "5"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
     assert lines[0] == "l,median,q1,q3,negative_count,failed"
     assert [line.split(",")[0] for line in lines[1:]] == ["5", "10", "15"]
     for line in lines[1:]:
         cells = line.split(",")
         assert math.isfinite(float(cells[1]))
         assert int(cells[4]) >= 0 and int(cells[5]) >= 0
+    best = min(lines[1:], key=lambda line: float(line.split(",")[1]))
+    assert (f"median analytic variance minimized at l = {best.split(',')[0]}\n"
+            in captured.err)
+
+
+def test_threshold_scan_without_finite_medians(tmp_path, capsys):
+    # Above l = n/2 the normal source threshold is negative, so the plug-in
+    # fails in every replication and every median is NaN.
+    path = tmp_path / "normal.cfg"
+    path.write_text(TINY_CONFIG.replace("gamma_s = 1.0",
+                                        "source_marginal = normal"))
+    assert main(["threshold-scan", "--config", str(path), "--l-min", "60",
+                 "--l-max", "62"]) == 0
+    captured = capsys.readouterr()
+    rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["60", "61", "62"]
+    assert all(row[1] == "" and row[5] == "30" for row in rows)
+    assert "no finite median at any l" in captured.err
+    assert "minimized" not in captured.err
 
 
 # ------------------------------------------------------- bootstrap CLI

@@ -13,7 +13,6 @@ from tailcv import (
     generate_dataset,
     hill,
     marginal_for_evi,
-    marginal_quantile,
     run_rvr_experiment,
     sample_gumbel_copula,
     source_threshold_scan,
@@ -26,12 +25,12 @@ from tailcv.simulate import _stream
 # ---------------------------------------------------------------- marginals
 
 def test_pareto_quantile_hand_values():
-    assert abs(marginal_quantile(0.75, Marginal.pareto(1.0, y_m=1.0)) - 4.0) < 1e-12
-    assert abs(marginal_quantile(1e-15, Marginal.pareto(1.0, y_m=1.0)) - 1.0) < 1e-12
+    assert abs(Marginal.pareto(1.0, y_m=1.0).quantile(0.75) - 4.0) < 1e-12
+    assert abs(Marginal.pareto(1.0, y_m=1.0).quantile(1e-15) - 1.0) < 1e-12
 
 
 def test_beta_quantile_hand_value():
-    assert abs(marginal_quantile(0.75, Marginal.beta(2.0)) - 0.5) < 1e-12
+    assert abs(Marginal.beta(2.0).quantile(0.75) - 0.5) < 1e-12
 
 
 def test_normal_quantile_values():
@@ -200,11 +199,14 @@ def test_runner_deterministic_across_reruns():
 
 
 def test_runner_flags_unstable_configuration():
-    # k = 1 makes the moment estimator degenerate in every replication.
+    # k = 1 leaves one exceedance, where the moment estimator is undefined.
+    # In 10 of the 20 replications 1 - m1**2/m2 rounds to a few ulps instead
+    # of 0, and the estimate comes out near -1e15 instead of failing.
     config = ExperimentConfig(gamma_t=1.0, theta=1.0, n=10, m=0, k=1,
                               source_marginal=Marginal.pareto(1.0),
                               replications=20, estimators=("moment",))
-    with pytest.raises(EstimationError, match="unstable configuration"):
+    with pytest.raises(EstimationError, match="unstable configuration: "
+                       "moment failed in 10/20 replications"):
         run_rvr_experiment(config)
 
 
@@ -222,13 +224,27 @@ def test_runner_rvr_from_reported_variances():
 
 
 def test_report_to_dict_is_json_clean():
-    config = ExperimentConfig(gamma_t=0.5, theta=5.0, n=200, m=400,
+    pareto = ExperimentConfig(gamma_t=0.5, theta=5.0, n=200, m=400,
                               source_marginal=Marginal.pareto(1.0),
                               replications=30, seed=1)
-    payload = run_rvr_experiment(config).to_dict()
-    json.dumps(payload, allow_nan=False)
-    assert payload["config"]["n"] == 200
-    assert set(payload["summaries"]) == {m.value for m in config.estimators}
+    # k = 150 puts the normal source threshold below zero in every
+    # replication, so the control diagnostics are NaN throughout.
+    normal = ExperimentConfig(gamma_t=0.5, theta=5.0, n=200, m=400,
+                              source_marginal=Marginal.standard_normal(),
+                              k=150, replications=30, seed=1,
+                              estimators=("hill", "moment"))
+    for config in (pareto, normal):
+        payload = run_rvr_experiment(config).to_dict()
+        json.dumps(payload, allow_nan=False)
+        assert list(payload) == ["config", "replications", "summaries", "pairs",
+                                 "dependence", "asymptotic_rvr_mean"]
+        assert payload["config"]["n"] == 200
+        assert set(payload["summaries"]) == {m.value for m in config.estimators}
+        for summary in payload["summaries"].values():
+            assert list(summary) == ["mean", "variance", "bias", "failures"]
+    assert payload["config"]["source_marginal"] == {"family": "normal"}
+    assert payload["dependence"]["corr_ab"] is None
+    assert payload["asymptotic_rvr_mean"] is None
 
 
 # ------------------------------------------------------------------- scan
