@@ -28,12 +28,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .acv import SufficientStatistics
-from .core import EstimationError, Method, SemiSupervisedDataset, _json_fields
+from .core import EstimationError, SemiSupervisedDataset, _json_fields
 from .dependence import _dependence_report
 from .estimators import hill_plot
 from .simulate import (
+    DEFAULT_ESTIMATORS,
     ExperimentConfig,
     Marginal,
+    _normalize_estimators,
     bootstrap_study,
     marginal_for_evi,
     run_rvr_experiment,
@@ -147,19 +149,6 @@ _CONFIG_TYPES = {
 _REQUIRED_CONFIG_KEYS = ("gamma_t", "theta", "n", "m")
 
 
-def _parse_methods(text: str) -> tuple[Method, ...]:
-    names = [piece.strip() for piece in text.split(",") if piece.strip()]
-    methods = []
-    for name in names:
-        try:
-            methods.append(Method(name))
-        except ValueError:
-            raise ValueError(f"unknown estimator '{name}'") from None
-    if not methods:
-        raise ValueError("empty estimator list")
-    return tuple(methods)
-
-
 def _resolve_source_marginal(raw: dict, path: str) -> Marginal:
     family = raw.get("source_marginal")
     gamma_s = raw.get("gamma_s")
@@ -217,25 +206,11 @@ def load_experiment_config(path: str) -> ExperimentConfig:
     if missing:
         raise ValueError(f"{path}: missing required keys: {', '.join(missing)}")
     marginal = _resolve_source_marginal(raw, path)
-    estimators = (_parse_methods(raw["estimators"])
-                  if "estimators" in raw else None)
-    kwargs = dict(
-        gamma_t=raw["gamma_t"],
-        theta=raw["theta"],
-        n=raw["n"],
-        m=raw["m"],
-        source_marginal=marginal,
-        k=raw.get("k"),
-        k_source=raw.get("k_source"),
-        y_m=raw.get("y_m", 1e-3),
-    )
-    if "replications" in raw:
-        kwargs["replications"] = raw["replications"]
-    if "seed" in raw:
-        kwargs["seed"] = raw["seed"]
-    if estimators is not None:
-        kwargs["estimators"] = estimators
-    return ExperimentConfig(**kwargs)
+    # The other keys name ExperimentConfig fields. It parses the comma-separated
+    # estimator names and gives the fields left out their defaults.
+    kwargs = {key: value for key, value in raw.items()
+              if key not in ("gamma_s", "shape_b", "source_marginal")}
+    return ExperimentConfig(source_marginal=marginal, **kwargs)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -253,11 +228,10 @@ def _cmd_estimate(args) -> int:
           file=sys.stderr)
     explicit = args.methods is not None
     if explicit:
-        methods = _parse_methods(args.methods)
+        methods = _normalize_estimators(args.methods)
     else:
-        methods = (Method.HILL, Method.MOMENT)
-        if dataset.m >= 1:
-            methods += (Method.TRANSFERRED_HILL, Method.TRANSFERRED_MOMENT)
+        methods = tuple(method for method in DEFAULT_ESTIMATORS
+                        if dataset.m >= 1 or not method.is_transferred)
     try:
         stats, failure = SufficientStatistics.of(dataset, args.k, args.k_source), None
     except EstimationError as exc:
@@ -280,7 +254,7 @@ def _cmd_estimate(args) -> int:
         if failure is not None:
             raise failure
         dependence = _json_fields(_dependence_report(stats))
-    except (EstimationError, ValueError) as exc:
+    except EstimationError as exc:
         print(f"diagnostic: dependence report unavailable: {exc}",
               file=sys.stderr)
         dependence = None
@@ -412,20 +386,17 @@ def _cmd_threshold_scan(args) -> int:
 
 def _cmd_bootstrap(args) -> int:
     dataset = load_data_file(args.data).dataset
-    methods = (_parse_methods(args.methods) if args.methods is not None
-               else (Method.HILL, Method.MOMENT, Method.TRANSFERRED_HILL,
-                     Method.TRANSFERRED_MOMENT))
     result = bootstrap_study(
         dataset, n_sub=args.n_sub, resamples=args.resamples, k=args.k,
-        estimators=methods, seed=args.seed, k_source=args.k_source,
+        estimators=DEFAULT_ESTIMATORS if args.methods is None else args.methods,
+        seed=args.seed, k_source=args.k_source,
         with_replacement=args.with_replacement,
     )
     rows = []
-    for method in methods:
-        values = result.estimates[method.value]
+    for name, values in result.estimates.items():
         for resample, value in enumerate(values):
             if math.isfinite(value):
-                rows.append([method.value, resample, _fmt(value)])
+                rows.append([name, resample, _fmt(value)])
     for name, count in result.failures.items():
         if count:
             print(f"diagnostic: {name}: {count} failed resamples",

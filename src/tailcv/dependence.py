@@ -9,7 +9,7 @@ Hill estimator built from conditional moments of scaled log-excesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,12 +32,13 @@ class DependenceReport:
     """Diagnostics of target-source tail dependence.
 
     ``lambda_hat`` is the joint-exceedance frequency over k and is reported
-    unclipped (under ties it can exceed 1; ``lambda_clipped`` flags that).
-    ``corr_ab``/``corr_cd`` are Pearson correlations of the log-excess and
-    indicator variable pairs over the coupled sample. ``c_ab_hat`` and
-    ``c_ad_hat`` are the conditional scaled log-excess moments entering the
-    asymptotic RVR formula (NaN when no joint exceedances exist). ``p_hat``
-    is the realized target exceedance fraction k_eff / n.
+    unclipped (under ties it can exceed 1; ``lambda_clipped``, which is set
+    from ``lambda_hat``, flags that). ``corr_ab``/``corr_cd`` are Pearson
+    correlations of the log-excess and indicator variable pairs over the
+    coupled sample. ``c_ab_hat`` and ``c_ad_hat`` are the conditional scaled
+    log-excess moments entering the asymptotic RVR formula (NaN when no joint
+    exceedances exist). ``p_hat`` is the realized target exceedance fraction
+    k_eff / n.
     """
 
     lambda_hat: float
@@ -46,7 +47,16 @@ class DependenceReport:
     c_ad_hat: float
     c_ab_hat: float
     p_hat: float
-    lambda_clipped: bool = False
+    lambda_clipped: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lambda_clipped", bool(self.lambda_hat > 1.0))
+
+
+# The keys of one dataset's diagnostics: the fields a DependenceReport is
+# built from, then the asymptotic RVR, which a run report averages apart.
+_REPORT_FIELDS = tuple(f.name for f in fields(DependenceReport) if f.init)
+_DIAGNOSTICS = _REPORT_FIELDS + ("asymptotic_rvr",)
 
 
 def tail_dependence(paired_target, paired_source, k: int) -> float:
@@ -122,7 +132,7 @@ def _resolve_gamma_hats(stats: SufficientStatistics, gamma_t_hat: float | None,
     if gamma_s_hat is None:
         gamma_s_hat = _ratio(stats.source)
     if gamma_t_hat <= 0 or gamma_s_hat <= 0:
-        raise ValueError("scaled log-excesses need positive index estimates")
+        raise EstimationError("scaled log-excesses need positive index estimates")
     return float(gamma_t_hat), float(gamma_s_hat)
 
 
@@ -156,33 +166,56 @@ def asymptotic_rvr(dataset: SemiSupervisedDataset, k: int,
         estimates on the coupled target and source samples.
     """
     stats = SufficientStatistics.of(dataset, k, k_source)
-    c_ab, c_ad = _scaled_moments(stats, gamma_t_hat, gamma_s_hat)
-    return asymptotic_rvr_formula(min(stats.lambda_hat, 1.0), int(k) / dataset.n,
-                                  c_ab, c_ad, dataset.n, dataset.m)
+    return _asymptotic_rvr(stats, *_scaled_moments(stats, gamma_t_hat, gamma_s_hat))
+
+
+def _asymptotic_rvr(stats: SufficientStatistics, c_ab: float, c_ad: float) -> float:
+    """The closed form at the tail dependence clipped at 1 and p = k/n."""
+    return asymptotic_rvr_formula(min(stats.lambda_hat, 1.0), stats.target.k / stats.n,
+                                  c_ab, c_ad, stats.n, stats.m)
+
+
+def _diagnostics(stats: SufficientStatistics) -> dict:
+    """One dataset's diagnostics, keyed by ``_DIAGNOSTICS``; NaN where undefined.
+
+    ``lambda_hat`` is always defined. ``p_hat`` needs the control covariance
+    and the correlations a non-degenerate one. The scaled moments and the
+    asymptotic RVR need joint exceedances and positive Hill estimates on
+    both coupled samples.
+    """
+    record = dict.fromkeys(_DIAGNOSTICS, float("nan"))
+    record["lambda_hat"] = stats.lambda_hat
+    if stats.moments is not None:
+        record["p_hat"] = stats.target.count / stats.n
+        try:
+            record["corr_ab"], record["corr_cd"] = stats.correlations()
+        except EstimationError:
+            pass
+    try:
+        c_ab, c_ad = _scaled_moments(stats, None, None)
+    except EstimationError:
+        return record
+    record["c_ab_hat"], record["c_ad_hat"] = c_ab, c_ad
+    record["asymptotic_rvr"] = _asymptotic_rvr(stats, c_ab, c_ad)
+    return record
+
+
+def _report(diagnostics: dict) -> DependenceReport:
+    """The report of one dataset's diagnostics or of their run averages."""
+    return DependenceReport(**{key: diagnostics[key] for key in _REPORT_FIELDS})
 
 
 def dependence_report(dataset: SemiSupervisedDataset, k: int,
-                      k_source: int | None = None,
-                      gamma_t_hat: float | None = None,
-                      gamma_s_hat: float | None = None) -> DependenceReport:
+                      k_source: int | None = None) -> DependenceReport:
     """Assemble the full dependence diagnostics for a dataset.
 
     The conditional moments are NaN when there are no joint exceedances
-    (weak-dependence samples); all other fields are always populated.
+    (weak-dependence samples); all other fields are always populated. Raises
+    EstimationError, with its reason, when the correlations are undefined.
     """
-    return _dependence_report(SufficientStatistics.of(dataset, k, k_source),
-                              gamma_t_hat, gamma_s_hat)
+    return _dependence_report(SufficientStatistics.of(dataset, k, k_source))
 
 
-def _dependence_report(stats: SufficientStatistics, gamma_t_hat: float | None = None,
-                       gamma_s_hat: float | None = None) -> DependenceReport:
-    corr_ab, corr_cd = stats.correlations()
-    try:
-        c_ab, c_ad = _scaled_moments(stats, gamma_t_hat, gamma_s_hat)
-    except ValueError:  # EstimationError included
-        c_ab, c_ad = float("nan"), float("nan")
-    return DependenceReport(
-        lambda_hat=stats.lambda_hat, corr_ab=corr_ab, corr_cd=corr_cd,
-        c_ad_hat=c_ad, c_ab_hat=c_ab, p_hat=stats.target.count / stats.n,
-        lambda_clipped=stats.lambda_hat > 1.0,
-    )
+def _dependence_report(stats: SufficientStatistics) -> DependenceReport:
+    stats.correlations()  # raises the reason they are undefined
+    return _report(_diagnostics(stats))

@@ -42,20 +42,28 @@ def _ratio(side: Exceedances, power: int = 1) -> float:
     return float(side.means[power - 1] / denom)
 
 
+# 1 - m1**2/m2 is exactly 0 when all log-excesses are equal (one exceedance,
+# or ties) but rounds to a few ulps: at most 5.5 eps in 23,000 such samples.
+# Both paths treat this band as singular, so that with m = 0 the transferred
+# estimate fails exactly where the baseline does.
+DENOMINATOR_ATOL = 32 * np.finfo(float).eps
+
+
 def moment_from_log_moments(m1: float, m2: float, strict: bool = True) -> float:
     """Combine first and second log-excess moments into the moment estimate.
 
     Returns m1 + 1 - 0.5 / (1 - m1**2 / m2). With ``strict`` (the baseline
-    path) any non-positive 1 - m1**2/m2 is rejected, since the Cauchy-Schwarz
-    inequality makes negatives impossible up to rounding and zero means all
-    log-excesses were equal. The transferred path passes ``strict=False``
-    because control-variate corrections can legitimately push the ratio past
-    one; only an exactly singular denominator is rejected there.
+    path) any 1 - m1**2/m2 up to ``DENOMINATOR_ATOL`` is rejected, since the
+    Cauchy-Schwarz inequality makes negatives impossible up to rounding and
+    zero means all log-excesses were equal. The transferred path passes
+    ``strict=False`` because control-variate corrections can legitimately push
+    the ratio past one; only a denominator within ``DENOMINATOR_ATOL`` of zero
+    is rejected there.
     """
     if m2 == 0.0:
         raise EstimationError("moment estimator undefined")
     denom = 1.0 - (m1 * m1) / m2
-    if denom == 0.0 or (strict and denom <= 0.0):
+    if (denom if strict else abs(denom)) <= DENOMINATOR_ATOL:
         raise EstimationError("moment estimator undefined")
     return m1 + 1.0 - 0.5 / denom
 

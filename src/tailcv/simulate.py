@@ -29,7 +29,7 @@ from .core import (
     exceedances,
     order_statistics,
 )
-from .dependence import DependenceReport, _scaled_moments, asymptotic_rvr_formula
+from .dependence import _DIAGNOSTICS, DependenceReport, _diagnostics, _report
 from .estimators import _hill
 from .transfer import ESTIMATORS
 
@@ -192,12 +192,29 @@ def sample_gumbel_copula(theta: float, count: int,
 
 
 def _normalize_estimators(estimators) -> tuple[Method, ...]:
-    methods = tuple(Method(e) for e in estimators)
+    """Methods from Method members, their names, or comma-separated names."""
+    if isinstance(estimators, str):
+        estimators = [name.strip() for name in estimators.split(",") if name.strip()]
+    known = {method.value for method in Method}
+    methods = []
+    for name in estimators:
+        if not isinstance(name, Method) and name not in known:
+            raise ValueError(f"unknown estimator '{name}'")
+        methods.append(Method(name))
     if len(set(methods)) != len(methods):
         raise ValueError("duplicate estimators requested")
     if not methods:
         raise ValueError("at least one estimator required")
-    return methods
+    return tuple(methods)
+
+
+def _validated_k(k, k_source, n: int) -> tuple[int, int]:
+    """k and k_source (k when None) as ints, each of which must be in 1..n-1."""
+    k = int(k)
+    k_source = k if k_source is None else int(k_source)
+    if not 1 <= k <= n - 1 or not 1 <= k_source <= n - 1:
+        raise ValueError("invalid k")
+    return k, k_source
 
 
 @dataclass(frozen=True)
@@ -236,10 +253,8 @@ class ExperimentConfig:
             raise ValueError("replications must be positive")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        k = int(round(0.1 * self.n)) if self.k is None else int(self.k)
-        k_source = k if self.k_source is None else int(self.k_source)
-        if not 1 <= k <= self.n - 1 or not 1 <= k_source <= self.n - 1:
-            raise ValueError("invalid k")
+        k, k_source = _validated_k(round(0.1 * self.n) if self.k is None else self.k,
+                                   self.k_source, self.n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "k_source", k_source)
         object.__setattr__(self, "estimators",
@@ -287,10 +302,6 @@ def _nanvar(values) -> float:
     return float(np.var(finite, ddof=1))
 
 
-_DIAGNOSTIC_KEYS = ("lambda_hat", "corr_ab", "corr_cd", "c_ad_hat", "c_ab_hat",
-                    "p_hat", "asymptotic_rvr")
-
-
 def _run_replication(config: ExperimentConfig, replication_index: int) -> dict:
     """One replication: dataset, requested estimates, dependence diagnostics."""
     dataset = generate_dataset(config, replication_index)
@@ -301,29 +312,18 @@ def _run_replication(config: ExperimentConfig, replication_index: int) -> dict:
 
 def _replication_record(stats: SufficientStatistics, estimators) -> dict:
     """Estimates and diagnostics of one dataset, NaN where one fails."""
-    record = dict.fromkeys(_DIAGNOSTIC_KEYS + tuple(m.value for m in estimators),
-                           float("nan"))
-    for method in estimators:
+    return {**_diagnostics(stats), **_estimate_values(stats, estimators)}
+
+
+def _estimate_values(stats: SufficientStatistics, methods) -> dict:
+    """Each method's estimate of one dataset by name, NaN where it fails."""
+    values = {}
+    for method in methods:
         try:
-            record[method.value] = ESTIMATORS[method](stats).value
+            values[method.value] = ESTIMATORS[method](stats).value
         except EstimationError:
-            pass
-    record["lambda_hat"] = stats.lambda_hat
-    if stats.moments is not None:
-        record["p_hat"] = stats.target.count / stats.n
-        try:
-            record["corr_ab"], record["corr_cd"] = stats.correlations()
-        except EstimationError:
-            pass
-    try:
-        c_ab, c_ad = _scaled_moments(stats, None, None)
-    except ValueError:  # EstimationError included
-        return record
-    record["c_ab_hat"], record["c_ad_hat"] = c_ab, c_ad
-    record["asymptotic_rvr"] = asymptotic_rvr_formula(
-        min(stats.lambda_hat, 1.0), stats.target.k / stats.n, c_ab, c_ad,
-        stats.n, stats.m)
-    return record
+            values[method.value] = float("nan")
+    return values
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -445,19 +445,10 @@ def run_rvr_experiment(config: ExperimentConfig,
                 variance_transferred=variance_transferred, rvr=float(rvr),
             ))
     diagnostics = {key: _nanmean([rec[key] for rec in records])
-                   for key in _DIAGNOSTIC_KEYS}
-    dependence = DependenceReport(
-        lambda_hat=diagnostics["lambda_hat"],
-        corr_ab=diagnostics["corr_ab"],
-        corr_cd=diagnostics["corr_cd"],
-        c_ad_hat=diagnostics["c_ad_hat"],
-        c_ab_hat=diagnostics["c_ab_hat"],
-        p_hat=diagnostics["p_hat"],
-        lambda_clipped=bool(diagnostics["lambda_hat"] > 1.0),
-    )
+                   for key in _DIAGNOSTICS}
     return RvrReport(
         config=config, replications=config.replications, estimates=estimates,
-        summaries=summaries, pairs=tuple(pairs), dependence=dependence,
+        summaries=summaries, pairs=tuple(pairs), dependence=_report(diagnostics),
         asymptotic_rvr_mean=diagnostics["asymptotic_rvr"],
     )
 
@@ -581,12 +572,12 @@ def bootstrap_study(dataset: SemiSupervisedDataset, n_sub: int, resamples: int,
     resamples : int
         Number of resamples.
     k : int
-        Number of target extremes within each resample.
+        Number of target extremes within each resample, 1 <= k <= n_sub - 1.
     estimators : iterable of Method or str
     seed : int
         Stream key; same seed gives identical value sequences.
     k_source : int, optional
-        Source extremes count, defaulting to k.
+        Source extremes count, defaulting to k; also at most n_sub - 1.
     with_replacement : bool
         Draw the coupled set with replacement instead of subsampling.
     """
@@ -598,6 +589,8 @@ def bootstrap_study(dataset: SemiSupervisedDataset, n_sub: int, resamples: int,
         raise ValueError("n_sub must be at least 3")
     if resamples < 1:
         raise ValueError("resamples must be positive")
+    # Every resample has n_sub coupled rows, so k is valid in all or none.
+    _validated_k(k, k_source, n_sub)
     estimates = {method.value: np.full(resamples, np.nan) for method in methods}
     for index in range(resamples):
         rng = _stream(seed, index, _ROLE_BOOTSTRAP)
@@ -613,15 +606,9 @@ def bootstrap_study(dataset: SemiSupervisedDataset, n_sub: int, resamples: int,
             extra_source=np.concatenate([dataset.paired_source[rest],
                                          dataset.extra_source]),
         )
-        try:
-            stats = SufficientStatistics.of(subsample, k, k_source)
-        except EstimationError:
-            continue
-        for method in methods:
-            try:
-                estimates[method.value][index] = ESTIMATORS[method](stats).value
-            except EstimationError:
-                pass
+        stats = SufficientStatistics.of(subsample, k, k_source)
+        for name, value in _estimate_values(stats, methods).items():
+            estimates[name][index] = value
     failures = {
         name: int(np.count_nonzero(~np.isfinite(values)))
         for name, values in estimates.items()

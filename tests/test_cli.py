@@ -153,6 +153,14 @@ def test_config_gamma_s_sign_dispatch(tmp_path):
     marginal = load_experiment_config(str(beta)).source_marginal
     assert marginal.family == "beta"
     assert abs(marginal.evi + 0.25) < 1e-15
+    # An explicit family takes its parameter from gamma_s or shape_b.
+    for lines, expected in (
+            ("source_marginal = pareto\ngamma_s = 0.5\n", Marginal.pareto(0.5)),
+            ("source_marginal = beta\nshape_b = 2.0\n", Marginal.beta(2.0)),
+            ("source_marginal = beta\ngamma_s = -0.5\n", Marginal.beta(2.0))):
+        explicit = tmp_path / "explicit.cfg"
+        explicit.write_text(base + lines)
+        assert load_experiment_config(str(explicit)).source_marginal == expected
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -164,6 +172,14 @@ def test_config_gamma_s_sign_dispatch(tmp_path):
      "bad value"),
     ("gamma_t = 0.5\ntheta = 2.0\nn = 50\ngamma_s = 1\n", "missing required"),
     ("gamma_t = 0.5\ntheta = 2.0\nn = 50\nm = 0\n", "source_marginal"),
+    ("gamma_t = 0.5\ntheta = 2.0\nn = 50\nm = 0\nsource_marginal = pareto\n",
+     "pareto source needs gamma_s > 0"),
+    ("gamma_t = 0.5\ntheta = 2.0\nn = 50\nm = 0\nsource_marginal = beta\n"
+     "gamma_s = 0.5\n", "beta source needs shape_b or negative gamma_s"),
+    ("gamma_t = 0.5\ntheta = 2.0\nn = 50\nm = 0\nsource_marginal = cauchy\n",
+     "unknown source_marginal 'cauchy'"),
+    ("gamma_t = 0.5\ntheta = 2.0\nn = 50\nm = 0\ngamma_s = 1\n"
+     "estimators = hill, median\n", "unknown estimator 'median'"),
 ])
 def test_config_errors(tmp_path, text, fragment):
     path = tmp_path / "bad.cfg"
@@ -183,7 +199,7 @@ def test_config_estimator_list(tmp_path):
 
 # ----------------------------------------------------------- estimate CLI
 
-def test_estimate_auto_methods_and_diagnostics(data_path, capsys):
+def test_estimate_auto_methods_and_diagnostics(tmp_path, data_path, capsys):
     # k = 1 leaves a single exceedance, so moment-type estimators fail and
     # are reported as diagnostics rather than aborting the run.
     assert main(["estimate", "--data", data_path, "--k", "1"]) == 0
@@ -202,6 +218,17 @@ def test_estimate_auto_methods_and_diagnostics(data_path, capsys):
     coefficients = payload["estimates"]["transferred_hill"]["coefficients"]
     assert set(coefficients) == {"alpha", "beta", "alpha_prime", "beta_prime",
                                  "degenerate", "degenerate_second"}
+    # At k = 4 the source threshold is the smallest coupled source, -1.5, so
+    # only the baselines remain and there is no dependence report.
+    path = tmp_path / "negative.csv"
+    path.write_text("target,source\n1,-1.5\n2,-0.5\n4,-1.0\n8,0.2\n16,1.1\n,0.4\n")
+    assert main(["estimate", "--data", str(path), "--k", "4"]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert set(payload["estimates"]) == {"hill", "moment"}
+    assert payload["dependence"] is None
+    assert ("diagnostic: dependence report unavailable: log-transform undefined"
+            in captured.err)
 
 
 def test_estimate_explicit_failure_is_fatal(data_path, capsys):
@@ -355,6 +382,12 @@ def test_bootstrap_table(tmp_path, capsys):
     rows = [line.split(",") for line in lines[1:]]
     assert 1 <= len(rows) <= 10
     assert {row[0] for row in rows} <= {"hill", "transferred_hill"}
+    # At k = 1 the moment estimator fails in every resample.
+    assert main(["bootstrap", "--data", str(path), "--n-sub", "100",
+                 "--resamples", "5", "--k", "1", "--methods", "moment"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "method,resample,value\n"
+    assert "diagnostic: moment: 5 failed resamples" in captured.err
 
 
 # ------------------------------------------------------------ exit codes

@@ -7,10 +7,12 @@ from tailcv import (
     EstimationError,
     Marginal,
     Method,
+    SemiSupervisedDataset,
     hill,
     hill_plot,
     moment,
     moment_from_log_moments,
+    transferred_moment,
 )
 from tailcv.simulate import _stream
 
@@ -80,9 +82,18 @@ def test_moment_hand_example():
 
 
 def test_moment_single_exceedance_degenerate():
-    # One exceedance forces M2 == M1^2, so the second-moment term blows up.
-    with pytest.raises(EstimationError, match="moment estimator undefined"):
-        moment([1.0, 2.0, 4.0], 1)
+    # One exceedance forces M2 == M1^2, so the second-moment term blows up;
+    # so do tied exceedances. In floats 1 - M1**2/M2 can round to a few ulps
+    # instead of 0 (the last two samples), which must fail the same way, for
+    # the transferred estimator with m = 0 too.
+    for sample, k in (([1.0, 2.0, 4.0], 1), ([0.1, 2.0, 3.0], 1),
+                      ([0.5, 1.0] + [7.0] * 5, 5)):
+        with pytest.raises(EstimationError, match="moment estimator undefined"):
+            moment(sample, k)
+        dataset = SemiSupervisedDataset(paired_target=sample,
+                                        paired_source=np.arange(len(sample)) + 1.0)
+        with pytest.raises(EstimationError, match="moment estimator undefined"):
+            transferred_moment(dataset, k)
 
 
 def test_moment_consistent_on_pareto():

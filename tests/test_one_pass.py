@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tailcv import (
@@ -277,6 +277,10 @@ def datasets(draw):
     return dataset, k, k_source
 
 
+# The top two targets tie, so there are no target exceedances: p_hat is 0.0
+# and the correlations are undefined.
+@example((SemiSupervisedDataset(paired_target=[1.0, 2.0, 2.0],
+                                paired_source=[1.0, 2.0, 3.0]), 1, 1))
 @given(datasets())
 def test_one_object_equals_separate_calls_on_any_dataset(case):
     dataset, k, k_source = case
@@ -345,6 +349,16 @@ def test_one_moment_matrix_per_dataset(theta5_dataset, theta5_config):
     n = v.n
     expected = np.cov(np.vstack([v.a, v.g, v.b[:n], v.h[:n], v.c, v.d[:n]]), ddof=1)
     assert np.array_equal(stats.moments.covariance, expected)
+
+
+def test_invalid_k_source_fails_only_the_transferred_estimators(theta5_dataset):
+    stats = SufficientStatistics.of(theta5_dataset, 100, theta5_dataset.n)
+    assert stats.source is None and stats.missing == "invalid k"
+    assert (ESTIMATORS[Method.HILL](stats).value
+            == hill(theta5_dataset.paired_target, 100).value)
+    for method in (Method.TRANSFERRED_HILL, Method.TRANSFERRED_MOMENT):
+        with pytest.raises(EstimationError, match="invalid k"):
+            ESTIMATORS[method](stats)
 
 
 def test_two_pairs_raise_estimation_error_on_the_control_path():

@@ -186,27 +186,32 @@ def test_runner_requires_two_replications():
         run_rvr_experiment(config)
 
 
-def test_runner_deterministic_across_reruns():
+def test_runner_deterministic_across_reruns(monkeypatch):
     config = ExperimentConfig(gamma_t=0.5, theta=5.0, n=200, m=400,
                               source_marginal=Marginal.pareto(1.0),
                               replications=40, seed=99)
+    monkeypatch.delenv("TAILCV_WORKERS", raising=False)
     first = run_rvr_experiment(config)
     again = run_rvr_experiment(config)
+    monkeypatch.setenv("TAILCV_WORKERS", "2")
+    parallel = run_rvr_experiment(config)
     for name in first.estimates:
         np.testing.assert_array_equal(first.estimates[name],
                                       again.estimates[name])
+        np.testing.assert_array_equal(first.estimates[name],
+                                      parallel.estimates[name])
     assert first.pairs == again.pairs
+    assert parallel.to_dict() == first.to_dict()
 
 
 def test_runner_flags_unstable_configuration():
-    # k = 1 leaves one exceedance, where the moment estimator is undefined.
-    # In 10 of the 20 replications 1 - m1**2/m2 rounds to a few ulps instead
-    # of 0, and the estimate comes out near -1e15 instead of failing.
+    # k = 1 leaves one exceedance, where the moment estimator is undefined:
+    # 1 - m1**2/m2 is 0, or a few ulps after rounding, in every replication.
     config = ExperimentConfig(gamma_t=1.0, theta=1.0, n=10, m=0, k=1,
                               source_marginal=Marginal.pareto(1.0),
                               replications=20, estimators=("moment",))
     with pytest.raises(EstimationError, match="unstable configuration: "
-                       "moment failed in 10/20 replications"):
+                       "moment failed in 20/20 replications"):
         run_rvr_experiment(config)
 
 
@@ -335,6 +340,11 @@ def test_bootstrap_validation(bootstrap_pool):
         bootstrap_study(bootstrap_pool, n_sub=2, resamples=5, k=1)
     with pytest.raises(ValueError):
         bootstrap_study(bootstrap_pool, n_sub=100, resamples=0, k=10)
+    # Every resample has n_sub coupled rows, so k must be below n_sub.
+    for k, k_source in ((100, None), (0, None), (10, 100)):
+        with pytest.raises(ValueError, match="invalid k"):
+            bootstrap_study(bootstrap_pool, n_sub=100, resamples=5, k=k,
+                            k_source=k_source)
 
 
 def test_bootstrap_with_replacement_smoke(bootstrap_pool):
