@@ -86,11 +86,12 @@ def moment_statistics(*sequences) -> MomentStatistics:
         raise ValueError("sequences must have equal length")
     if count < 2:
         raise ValueError("need at least 2 observations")
-    # The steps of np.cov(stacked, ddof=1), so every entry keeps its bits.
+    # np.cov's steps, but each entry sums the products of its own two rows
+    # without BLAS, so it has the same bits in any matrix and on any kernel.
     stacked = np.array(arrays)
     means = stacked.mean(axis=1)
     deviations = stacked - means[:, None]
-    covariance = np.dot(deviations, deviations.T)
+    covariance = np.einsum("ik,jk->ij", deviations, deviations)
     covariance *= np.true_divide(1, count - 1)
     return MomentStatistics(means=means, covariance=covariance, count=count)
 
@@ -108,9 +109,10 @@ def cv_coefficient(a, b) -> float:
     return float(stats.covariance[0, 1] / var_b)
 
 
-def _degenerate(var_b, var_d, cov_bd, determinant) -> bool:
-    return (determinant <= DETERMINANT_RTOL * var_b * var_d
-            or abs(cov_bd) >= CORRELATION_CEILING * np.sqrt(var_b * var_d))
+def _degenerate(var_b, var_d, cov_bd, determinant):
+    """Whether the control system is singular; elementwise on arrays."""
+    return ((determinant <= DETERMINANT_RTOL * var_b * var_d)
+            | (abs(cov_bd) >= CORRELATION_CEILING * np.sqrt(var_b * var_d)))
 
 
 def _coefficients(cov: np.ndarray, rows: tuple, r_plugin: float) -> AcvCoefficients:
@@ -181,6 +183,25 @@ def _shifted_ratio(numerator, numerator_shift, denominator, denominator_shift,
     return float(numerator / denominator)
 
 
+def _variance_differences(var_b, var_d, cov_bd, cov_ab, cov_ad, cov_bc, cov_cd,
+                          b, d, mean_c, gamma_hat, n: int, m: int):
+    """The plug-in of :func:`variance_difference_plugin`, at one l or a block of l.
+
+    The seven covariance entries are scalars with ``b`` and ``d`` the n
+    coupled source columns, or arrays over l with ``b`` and ``d`` the
+    matching rows of those columns. Returns the values and the degenerate
+    flags; a degenerate value is NaN.
+    """
+    determinant = var_b * var_d - cov_bd * cov_bd
+    degenerate = _degenerate(var_b, var_d, cov_bd, determinant)
+    # Every other determinant is positive, so nothing divides by zero.
+    determinant = np.where(degenerate, np.nan, determinant)
+    s_d = gamma_hat * cov_bc - cov_ab
+    s_b = gamma_hat * cov_cd - cov_ad
+    spread = np.var(s_d[..., None] * d - s_b[..., None] * b, axis=-1, ddof=1)
+    return m / (n * (n + m)) * spread / (mean_c * mean_c * determinant), degenerate
+
+
 def variance_difference_plugin(variables: CvVariables, gamma_hat: float) -> float:
     """Plug-in estimate of the variance reduction of the corrected ratio.
 
@@ -200,6 +221,9 @@ def variance_difference_plugin(variables: CvVariables, gamma_hat: float) -> floa
 # Rows of the control covariance: target log-excess a and its square g,
 # source log-excess b and its square h, target and source indicators c, d.
 _A, _G, _B, _H, _C, _D = range(6)
+# The entries the variance plug-in reads, in _variance_differences' order.
+_PLUGIN_ENTRIES = ((_B, _B), (_D, _D), (_B, _D), (_A, _B), (_A, _D),
+                   (_B, _C), (_C, _D))
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,9 +239,7 @@ class SufficientStatistics:
     exceedance frequency at k (None without raw source data). ``moments`` is
     None when a side has no log-excesses, the source is absent or n < 3;
     ``missing`` then says why, and readers of the matrix raise it. ``m``
-    counts the extra source values. The threshold scan builds its sources
-    from the coupled values alone and passes m as a count: the plug-in needs
-    no more, but the estimators would read coupled means as full-sample ones.
+    counts the extra source values.
     """
 
     target: Exceedances
@@ -296,20 +318,17 @@ class SufficientStatistics:
 
     def variance_difference(self, gamma_hat: float) -> float:
         """See :func:`variance_difference_plugin`."""
-        n, m = self.n, self.m
         cov = self.covariance
         mean_c = self.target.means[2]
         if mean_c == 0.0:
             raise EstimationError("no exceedances")
-        var_b, var_d, cov_bd = cov[_B, _B], cov[_D, _D], cov[_B, _D]
-        determinant = var_b * var_d - cov_bd * cov_bd
-        if _degenerate(var_b, var_d, cov_bd, determinant):
+        value, degenerate = _variance_differences(
+            *(cov[i, j] for i, j in _PLUGIN_ENTRIES),
+            self.source.excess, self.source.indicator,
+            mean_c, gamma_hat, self.n, self.m)
+        if degenerate:
             raise EstimationError("degenerate control variate")
-        s_d = gamma_hat * cov[_B, _C] - cov[_A, _B]
-        s_b = gamma_hat * cov[_C, _D] - cov[_A, _D]
-        combination = s_d * self.source.indicator - s_b * self.source.excess
-        spread = float(np.var(combination, ddof=1))
-        return float(m / (n * (n + m)) * spread / (mean_c * mean_c * determinant))
+        return float(value)
 
     def correlations(self) -> tuple[float, float]:
         """Pearson (corr(a, b), corr(c, d)), in np.corrcoef's order of operations."""

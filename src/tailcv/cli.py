@@ -36,6 +36,7 @@ from .simulate import (
     ExperimentConfig,
     Marginal,
     _normalize_estimators,
+    _validated_k,
     bootstrap_study,
     marginal_for_evi,
     run_rvr_experiment,
@@ -230,6 +231,9 @@ def _cmd_estimate(args) -> int:
     if explicit:
         methods = _normalize_estimators(args.methods)
     else:
+        # Every failure below is then only a diagnostic, so an invalid k is
+        # rejected first, as ExperimentConfig and bootstrap_study reject it.
+        _validated_k(args.k, args.k_source, dataset.n)
         methods = tuple(method for method in DEFAULT_ESTIMATORS
                         if dataset.m >= 1 or not method.is_transferred)
     try:

@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .acv import SufficientStatistics
+from .acv import SufficientStatistics, _variance_differences
 from .core import (
     EstimationError,
     Method,
@@ -470,28 +470,57 @@ class ThresholdScanPoint:
     failed: int
 
 
+# Elements in each (l x n) array of a scan block: 16 values of l at n = 1000.
+_SCAN_BLOCK_ELEMENTS = 16384
+
+
 def _scan_replication(config: ExperimentConfig, l_values: tuple,
                       replication_index: int) -> np.ndarray:
-    # The target side and the source sort are shared by every l; each l
-    # rebuilds only the coupled source columns and the moment matrix, since
-    # the plug-in reads the n coupled rows and uses m only as a count.
+    # The target side, the source sort and the log of the coupled source
+    # values are shared by every l. A block of l values then builds only
+    # what the plug-in reads: the coupled source log-excess and indicator
+    # rows and seven covariance entries, each summed as moment_statistics
+    # sums it, so every cell has the bits of the public plug-in. m enters
+    # the plug-in only as a count.
     dataset = generate_dataset(config, replication_index)
+    out = np.full(len(l_values), np.nan)
     try:
         target = exceedances(dataset.paired_target, config.k)
         baseline = _hill(SufficientStatistics(target))
     except EstimationError:
-        return np.full(len(l_values), np.nan)
-    ordered = order_statistics(dataset.paired_source)
-    out = np.empty(len(l_values))
-    for j, l in enumerate(l_values):
-        try:
-            source = exceedances(dataset.paired_source, l, ordered=ordered)
-            stats = SufficientStatistics(target, source, dataset.m)
-            out[j] = (baseline.variance_estimate
-                      - stats.variance_difference(baseline.value))
-        except EstimationError:
-            out[j] = np.nan
+        return out
+    source = dataset.paired_source
+    n = source.size
+    thresholds = order_statistics(source)[n - 1 - np.asarray(l_values)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_source = np.log(source)  # read only above a positive threshold
+    dev_a = target.excess - target.means[0]
+    dev_c = target.indicator - target.means[2]
+    scale = np.true_divide(1, n - 1)
+    positive = np.flatnonzero(thresholds > 0)
+    step = max(1, _SCAN_BLOCK_ELEMENTS // n)
+    for start in range(0, positive.size, step):
+        rows = positive[start:start + step]
+        threshold = thresholds[rows, None]
+        above = source > threshold
+        d = above.astype(float)
+        b = np.where(above, log_source - np.log(threshold), 0.0)
+        dev_b = b - b.mean(axis=1)[:, None]
+        dev_d = d - d.mean(axis=1)[:, None]
+        differences, _ = _variance_differences(
+            np.einsum("lk,lk->l", dev_b, dev_b) * scale,
+            np.einsum("lk,lk->l", dev_d, dev_d) * scale,
+            np.einsum("lk,lk->l", dev_b, dev_d) * scale,
+            np.einsum("lk,k->l", dev_b, dev_a) * scale,
+            np.einsum("lk,k->l", dev_d, dev_a) * scale,
+            np.einsum("lk,k->l", dev_b, dev_c) * scale,
+            np.einsum("lk,k->l", dev_d, dev_c) * scale,
+            b, d, target.means[2], baseline.value, n, dataset.m)
+        out[rows] = baseline.variance_estimate - differences
     return out
+
+
+_QUARTILES = (25.0, 50.0, 75.0)
 
 
 def source_threshold_scan(config: ExperimentConfig, l_values,
@@ -516,20 +545,22 @@ def source_threshold_scan(config: ExperimentConfig, l_values,
     rows = _map_replications(partial(_scan_replication, config, l_tuple),
                              config.replications, workers)
     matrix = np.vstack(rows)
-    points = []
-    for j, l in enumerate(l_tuple):
-        column = matrix[:, j]
-        finite = column[np.isfinite(column)]
-        if finite.size:
-            q1, median, q3 = np.percentile(finite, [25.0, 50.0, 75.0])
-        else:
-            q1 = median = q3 = float("nan")
-        points.append(ThresholdScanPoint(
-            l=l, median=float(median), q1=float(q1), q3=float(q3),
-            negative_count=int(np.count_nonzero(finite < 0)),
-            failed=int(column.size - finite.size),
-        ))
-    return tuple(points)
+    finite = np.isfinite(matrix)
+    # One call for the columns without failed cells; any other column takes
+    # the percentile of its finite cells alone.
+    quartiles = np.full((3, len(l_tuple)), np.nan)
+    whole = finite.all(axis=0)
+    if whole.any():
+        quartiles[:, whole] = np.percentile(matrix[:, whole], _QUARTILES, axis=0)
+    for j in np.flatnonzero(~whole & finite.any(axis=0)):
+        quartiles[:, j] = np.percentile(matrix[finite[:, j], j], _QUARTILES)
+    negative = np.count_nonzero(finite & (matrix < 0), axis=0)
+    failed = np.count_nonzero(~finite, axis=0)
+    return tuple(
+        ThresholdScanPoint(l=l, median=float(quartiles[1, j]),
+                           q1=float(quartiles[0, j]), q3=float(quartiles[2, j]),
+                           negative_count=int(negative[j]), failed=int(failed[j]))
+        for j, l in enumerate(l_tuple))
 
 
 @dataclass(frozen=True)

@@ -259,6 +259,14 @@ def test_estimate_invalid_k_exit_code(data_path, capsys):
     assert "error: hill: invalid k" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k_flags", [["--k", "99"], ["--k", "1", "--k-source", "3"]])
+def test_estimate_invalid_k_without_methods_exits_one(data_path, capsys, k_flags):
+    assert main(["estimate", "--data", data_path, *k_flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: invalid k" in captured.err
+
+
 # ----------------------------------------------------------- simulate CLI
 
 def test_simulate_writes_report_and_estimates(tmp_path, config_path, capsys):

@@ -3,10 +3,12 @@
 The reference below is the per-function code the package had before every
 estimator and diagnostic read one ``SufficientStatistics`` object: each
 function re-sorts, rebuilds the control-variate variables and its own
-covariance with ``np.cov``/``np.corrcoef``, composed the way the replication
-record composed them. ``build_cv_variables``, ``threshold_at``,
-``log_excess_indicators``, ``tail_dependence`` and
-``moment_from_log_moments`` kept their code and are called directly.
+covariance, composed the way the replication record composed them. Each
+covariance entry sums the products of its own two deviation rows, so it
+does not depend on the other rows or on the BLAS kernel.
+``build_cv_variables``, ``threshold_at``, ``log_excess_indicators``,
+``tail_dependence`` and ``moment_from_log_moments`` kept their code and are
+called directly.
 """
 
 import math
@@ -71,7 +73,11 @@ def ref_moment(sample, k):
 
 
 def ref_cov(*rows):
-    return np.atleast_2d(np.cov(np.vstack(rows), ddof=1))
+    """np.cov(rows, ddof=1), with each entry from its own pair of rows."""
+    deviations = [row - row.mean() for row in rows]
+    scale = np.true_divide(1, rows[0].size - 1)
+    return np.array([[np.einsum("k,k->", x, y) * scale for y in deviations]
+                     for x in deviations])
 
 
 def ref_degenerate(cov):
@@ -148,7 +154,9 @@ def ref_cv_correlations(v):
     for x, y in ((v.a, v.b[:n]), (v.c, v.d[:n])):
         if np.var(x) == 0.0 or np.var(y) == 0.0:
             raise EstimationError("degenerate control variate")
-        out.append(float(np.corrcoef(x, y)[0, 1]))
+        cov = ref_cov(x, y)  # then np.corrcoef's steps
+        value = cov[0, 1] / np.sqrt(cov[0, 0]) / np.sqrt(cov[1, 1])
+        out.append(float(np.clip(value, -1.0, 1.0)))
     return out[0], out[1]
 
 
@@ -347,7 +355,7 @@ def test_one_moment_matrix_per_dataset(theta5_dataset, theta5_config):
     assert stats.moments.covariance.shape == (6, 6)
     v = build_cv_variables(theta5_dataset, theta5_config.k)
     n = v.n
-    expected = np.cov(np.vstack([v.a, v.g, v.b[:n], v.h[:n], v.c, v.d[:n]]), ddof=1)
+    expected = ref_cov(v.a, v.g, v.b[:n], v.h[:n], v.c, v.d[:n])
     assert np.array_equal(stats.moments.covariance, expected)
 
 

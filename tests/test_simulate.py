@@ -1,7 +1,10 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from tailcv import (
@@ -9,6 +12,7 @@ from tailcv import (
     ExperimentConfig,
     Marginal,
     Method,
+    SemiSupervisedDataset,
     bootstrap_study,
     generate_dataset,
     hill,
@@ -19,7 +23,7 @@ from tailcv import (
     build_cv_variables,
     variance_difference_plugin,
 )
-from tailcv.simulate import _stream
+from tailcv.simulate import _scan_replication, _stream
 
 
 # ---------------------------------------------------------------- marginals
@@ -293,6 +297,75 @@ def test_scan_validates_l_range():
         source_threshold_scan(config, [200])
     with pytest.raises(ValueError):
         source_threshold_scan(config, [])
+
+
+def public_scan_cell(dataset, k, l):
+    """One scan cell from the public calls; NaN where they raise."""
+    try:
+        baseline = hill(dataset.paired_target, k)
+        variables = build_cv_variables(dataset, k, l)
+        return (baseline.variance_estimate
+                - variance_difference_plugin(variables, baseline.value))
+    except EstimationError:
+        return float("nan")
+
+
+def cell_bits(values):
+    return [None if np.isnan(value) else np.float64(value).tobytes()
+            for value in values]
+
+
+# Few levels, so ties are common; the source may go non-positive.
+levels = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0]),
+                   st.floats(min_value=-5.0, max_value=1e4))
+
+
+@st.composite
+def coupled_samples(draw):
+    n = draw(st.integers(min_value=3, max_value=40))
+    m = draw(st.integers(min_value=0, max_value=20))
+    dataset = SemiSupervisedDataset(
+        paired_target=draw(st.lists(levels, min_size=n, max_size=n)),
+        paired_source=draw(st.lists(levels, min_size=n, max_size=n)),
+        extra_source=draw(st.lists(levels, min_size=m, max_size=m)))
+    return dataset, draw(st.integers(min_value=1, max_value=n - 1))
+
+
+@given(coupled_samples())
+def test_scan_cells_equal_the_public_plug_in(case):
+    dataset, k = case
+    config = ExperimentConfig(gamma_t=0.5, theta=2.0, n=dataset.n, m=dataset.m,
+                              source_marginal=Marginal.pareto(1.0), k=k,
+                              replications=1)
+    l_values = tuple(range(1, dataset.n))
+    with mock.patch("tailcv.simulate.generate_dataset", return_value=dataset):
+        cells = _scan_replication(config, l_values, 0)
+    assert cell_bits(cells) == cell_bits(
+        [public_scan_cell(dataset, k, l) for l in l_values])
+
+
+def test_scan_summaries_mix_finite_and_failed_cells():
+    # Near l = n/2 the normal source threshold is positive in some
+    # replications only, so those columns mix finite and failed cells.
+    config = ExperimentConfig(gamma_t=0.5, theta=3.0, n=60, m=40,
+                              source_marginal=Marginal.standard_normal(), k=6,
+                              replications=30, seed=3)
+    l_values = tuple(range(15, 46))
+    points = source_threshold_scan(config, l_values)
+    matrix = np.vstack([_scan_replication(config, l_values, index)
+                        for index in range(config.replications)])
+    failed = np.isnan(matrix).sum(axis=0)
+    assert failed[0] == 0 and failed[-1] == config.replications
+    assert np.any((failed > 0) & (failed < config.replications))
+    for point, column in zip(points, matrix.T):
+        finite = column[np.isfinite(column)]
+        if finite.size:
+            expected = np.percentile(finite, [25.0, 50.0, 75.0])
+        else:
+            expected = np.full(3, np.nan)
+        assert cell_bits([point.q1, point.median, point.q3]) == cell_bits(expected)
+        assert point.negative_count == np.count_nonzero(finite < 0)
+        assert point.failed == column.size - finite.size
 
 
 # --------------------------------------------------------------- bootstrap

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tailcv import (
     EstimationError,
@@ -104,6 +108,42 @@ def test_transferred_hill_reduces_variance(theta5_dataset, theta5_config):
     baseline = hill(theta5_dataset.paired_target, theta5_config.k)
     transferred = transferred_hill(theta5_dataset, theta5_config.k)
     assert transferred.variance_estimate <= baseline.variance_estimate
+
+
+@st.composite
+def positive_target_datasets(draw):
+    # Values on a grid of quarters, so ties are common and a power keeps
+    # distinct targets distinct; sources may go non-positive.
+    n = draw(st.integers(min_value=3, max_value=30))
+    m = draw(st.integers(min_value=0, max_value=20))
+    targets = st.integers(min_value=4, max_value=400).map(lambda i: i / 4)
+    sources = st.integers(min_value=-20, max_value=400).map(lambda i: i / 4)
+    dataset = SemiSupervisedDataset(
+        paired_target=draw(st.lists(targets, min_size=n, max_size=n)),
+        paired_source=draw(st.lists(sources, min_size=n, max_size=n)),
+        extra_source=draw(st.lists(sources, min_size=m, max_size=m)))
+    k = draw(st.integers(min_value=1, max_value=n - 1))
+    return dataset, k, draw(st.integers(min_value=1, max_value=n - 1))
+
+
+@given(positive_target_datasets(), st.floats(min_value=0.1, max_value=10.0))
+def test_a_power_of_the_target_scales_both_hill_estimates(case, power):
+    # Log-excesses of y**power are power times those of y, so the Hill
+    # estimate and, through coefficients that scale with it, the
+    # transferred one scale by the power.
+    dataset, k, k_source = case
+    powered = SemiSupervisedDataset(paired_target=dataset.paired_target ** power,
+                                    paired_source=dataset.paired_source,
+                                    extra_source=dataset.extra_source)
+    for estimate in (lambda ds: hill(ds.paired_target, k),
+                     lambda ds: transferred_hill(ds, k, k_source)):
+        try:
+            value = estimate(dataset).value
+        except EstimationError:
+            with pytest.raises(EstimationError):
+                estimate(powered)
+            continue
+        assert math.isclose(estimate(powered).value, power * value, rel_tol=1e-10)
 
 
 # -------------------------------------------------------------- estimation
