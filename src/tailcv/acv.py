@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    CvVariables,
     EstimationError,
     Exceedances,
     SemiSupervisedDataset,
@@ -185,7 +184,7 @@ def _shifted_ratio(numerator, numerator_shift, denominator, denominator_shift,
 
 def _variance_differences(var_b, var_d, cov_bd, cov_ab, cov_ad, cov_bc, cov_cd,
                           b, d, mean_c, gamma_hat, n: int, m: int):
-    """The plug-in of :func:`variance_difference_plugin`, at one l or a block of l.
+    """``SufficientStatistics.variance_difference`` at one l or a block of l.
 
     The seven covariance entries are scalars with ``b`` and ``d`` the n
     coupled source columns, or arrays over l with ``b`` and ``d`` the
@@ -200,22 +199,6 @@ def _variance_differences(var_b, var_d, cov_bd, cov_ab, cov_ad, cov_bc, cov_cd,
     s_b = gamma_hat * cov_cd - cov_ad
     spread = np.var(s_d[..., None] * d - s_b[..., None] * b, axis=-1, ddof=1)
     return m / (n * (n + m)) * spread / (mean_c * mean_c * determinant), degenerate
-
-
-def variance_difference_plugin(variables: CvVariables, gamma_hat: float) -> float:
-    """Plug-in estimate of the variance reduction of the corrected ratio.
-
-    Estimates Var(baseline Hill) - Var(transferred Hill) as
-
-        m / (n (n+m)) * Var(s_d * d - s_b * b) / (mean(c)**2 * det)
-
-    with s_d = gamma_hat*Cov(b,c) - Cov(a,b), s_b = gamma_hat*Cov(c,d) -
-    Cov(a,d), det = Var(b)Var(d) - Cov(b,d)**2, all moments estimated with
-    n-1 divisors over the n coupled observations. The result can be negative
-    for unstable small-exceedance inputs; callers that need a variance
-    estimate should clip, while threshold scans report negatives as-is.
-    """
-    return SufficientStatistics.from_variables(variables).variance_difference(gamma_hat)
 
 
 # Rows of the control covariance: target log-excess a and its square g,
@@ -236,7 +219,7 @@ class SufficientStatistics:
     ``target`` and ``source`` (one sort each; ``source`` is None without a
     source sample or with an invalid k_source), ``moments`` of
     (a, g, b, h, c, d) over the n coupled rows, and ``lambda_hat``, the joint
-    exceedance frequency at k (None without raw source data). ``moments`` is
+    exceedance frequency at k (None unless built by ``of``). ``moments`` is
     None when a side has no log-excesses, the source is absent or n < 3;
     ``missing`` then says why, and readers of the matrix raise it. ``m``
     counts the extra source values.
@@ -283,16 +266,6 @@ class SufficientStatistics:
             return cls(target, None, dataset.m, lambda_hat, str(error))
         return cls(target, source, dataset.m, lambda_hat)
 
-    @classmethod
-    def from_variables(cls, variables: CvVariables) -> "SufficientStatistics":
-        """Build from control-variate variables (no tail dependence)."""
-        n = variables.n
-        target = Exceedances.of_columns(variables.k_target, variables.target_threshold,
-                                        variables.a, variables.c, n)
-        source = Exceedances.of_columns(variables.k_source, variables.source_threshold,
-                                        variables.b, variables.d, n)
-        return cls(target, source, variables.m)
-
     @property
     def n(self) -> int:
         return self.target.indicator.size
@@ -317,7 +290,19 @@ class SufficientStatistics:
             coefficients)
 
     def variance_difference(self, gamma_hat: float) -> float:
-        """See :func:`variance_difference_plugin`."""
+        """Plug-in estimate of the variance reduction of the corrected ratio.
+
+        Estimates Var(baseline Hill) - Var(transferred Hill) as
+
+            m / (n (n+m)) * Var(s_d * d - s_b * b) / (mean(c)**2 * det)
+
+        with s_d = gamma_hat*Cov(b,c) - Cov(a,b), s_b = gamma_hat*Cov(c,d) -
+        Cov(a,d), det = Var(b)Var(d) - Cov(b,d)**2, all moments estimated
+        with n-1 divisors over the n coupled observations. The result can be
+        negative for unstable small-exceedance inputs; callers that need a
+        variance estimate should clip, while threshold scans report negatives
+        as-is.
+        """
         cov = self.covariance
         mean_c = self.target.means[2]
         if mean_c == 0.0:
@@ -340,3 +325,8 @@ class SufficientStatistics:
             value = cov[x, y] / np.sqrt(cov[x, x]) / np.sqrt(cov[y, y])
             out.append(float(np.clip(value, -1.0, 1.0)))
         return out[0], out[1]
+
+
+def variance_difference_plugin(stats: SufficientStatistics, gamma_hat: float) -> float:
+    """``stats.variance_difference``, kept because ``perfbench/`` calls this name."""
+    return stats.variance_difference(gamma_hat)

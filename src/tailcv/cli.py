@@ -231,20 +231,22 @@ def _cmd_estimate(args) -> int:
     if explicit:
         methods = _normalize_estimators(args.methods)
     else:
-        # Every failure below is then only a diagnostic, so an invalid k is
-        # rejected first, as ExperimentConfig and bootstrap_study reject it.
-        _validated_k(args.k, args.k_source, dataset.n)
         methods = tuple(method for method in DEFAULT_ESTIMATORS
                         if dataset.m >= 1 or not method.is_transferred)
+    # Rejected first, as ExperimentConfig rejects it: an estimator that never
+    # reads the source would not notice an invalid k_source. With --methods
+    # the error names the first method, as an estimator's failure does.
     try:
-        stats, failure = SufficientStatistics.of(dataset, args.k, args.k_source), None
-    except EstimationError as exc:
-        stats, failure = None, exc
+        _validated_k(args.k, args.k_source, dataset.n)
+    except ValueError as exc:
+        if not explicit:
+            raise
+        print(f"error: {methods[0].value}: {exc}", file=sys.stderr)
+        return 1
+    stats = SufficientStatistics.of(dataset, args.k, args.k_source)
     estimates = {}
     for method in methods:
         try:
-            if failure is not None:
-                raise failure
             estimate = ESTIMATORS[method](stats)
         except EstimationError as exc:
             if explicit:
@@ -255,8 +257,6 @@ def _cmd_estimate(args) -> int:
         # The method already keys the record.
         estimates[method.value] = _json_fields(estimate, omit=("method",))
     try:
-        if failure is not None:
-            raise failure
         dependence = _json_fields(_dependence_report(stats))
     except EstimationError as exc:
         print(f"diagnostic: dependence report unavailable: {exc}",
@@ -370,6 +370,8 @@ def _cmd_hill_plot(args) -> int:
 
 
 def _cmd_threshold_scan(args) -> int:
+    if args.step < 1:
+        raise ValueError("step must be positive")
     config = _load_config_with_overrides(args)
     l_values = range(args.l_min, args.l_max + 1, args.step)
     points = source_threshold_scan(config, l_values, workers=args.workers)

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "EstimationError",
     "SemiSupervisedDataset",
-    "CvVariables",
     "Method",
     "TransferCoefficients",
     "EviEstimate",
@@ -82,59 +81,6 @@ class SemiSupervisedDataset:
     @property
     def m(self) -> int:
         return self.extra_source.size
-
-    def all_source(self) -> np.ndarray:
-        """All n + m source observations, coupled ones first."""
-        return np.concatenate([self.paired_source, self.extra_source])
-
-
-@dataclass(frozen=True)
-class CvVariables:
-    """Control-variate variables built from a semi-supervised dataset.
-
-    Target side (length n): ``a`` holds log-excesses over the target threshold,
-    ``c`` the 0/1 exceedance indicators, and ``g = a**2``. Source side (length
-    n + m, coupled entries first): ``b``, ``d``, ``h`` are the analogues over
-    the source threshold, which is fixed from the n coupled source values.
-    """
-
-    a: np.ndarray
-    c: np.ndarray
-    g: np.ndarray
-    b: np.ndarray
-    d: np.ndarray
-    h: np.ndarray
-    target_threshold: float
-    source_threshold: float
-    k_target: int
-    k_source: int
-
-    def __post_init__(self):
-        for name in ("a", "c", "g", "b", "d", "h"):
-            object.__setattr__(self, name, _readonly_vector(getattr(self, name), name))
-        if not (self.a.size == self.c.size == self.g.size):
-            raise ValueError("a, c, g must have equal length")
-        if not (self.b.size == self.d.size == self.h.size):
-            raise ValueError("b, d, h must have equal length")
-        if self.b.size < self.a.size:
-            raise ValueError("source side cannot be shorter than target side")
-        for ind, name in ((self.c, "c"), (self.d, "d")):
-            if not np.all((ind == 0.0) | (ind == 1.0)):
-                raise ValueError(f"{name} entries must be exactly 0 or 1")
-        if np.any(self.a < 0) or np.any((self.a > 0) & (self.c == 0.0)):
-            raise ValueError("a must be non-negative and supported on c == 1")
-        if not np.array_equal(self.g, self.a * self.a):
-            raise ValueError("g must equal a**2 elementwise")
-        if not np.array_equal(self.h, self.b * self.b):
-            raise ValueError("h must equal b**2 elementwise")
-
-    @property
-    def n(self) -> int:
-        return self.a.size
-
-    @property
-    def m(self) -> int:
-        return self.b.size - self.a.size
 
 
 class Method(Enum):
@@ -267,41 +213,6 @@ def log_excess_indicators(values, threshold: float) -> tuple[np.ndarray, np.ndar
     return excess, mask.astype(float)
 
 
-def build_cv_variables(dataset: SemiSupervisedDataset, k: int,
-                       k_source: int | None = None) -> CvVariables:
-    """Construct the control-variate variables from a dataset.
-
-    The target threshold is the (n-k)-th order statistic of the coupled target
-    sample; the source threshold is the (n-k_source)-th order statistic of the
-    n coupled source values (never of all n + m), and the source-side
-    variables are then evaluated over all n + m source observations.
-
-    Parameters
-    ----------
-    dataset : SemiSupervisedDataset
-    k : int
-        Number of target extremes, 1 <= k <= n - 1.
-    k_source : int, optional
-        Number of source extremes; defaults to k.
-
-    Returns
-    -------
-    CvVariables
-    """
-    if k_source is None:
-        k_source = k
-    target_threshold = threshold_at(dataset.paired_target, k)
-    source_threshold = threshold_at(dataset.paired_source, k_source)
-    a, c = log_excess_indicators(dataset.paired_target, target_threshold)
-    b, d = log_excess_indicators(dataset.all_source(), source_threshold)
-    return CvVariables(
-        a=a, c=c, g=a * a, b=b, d=d, h=b * b,
-        target_threshold=target_threshold,
-        source_threshold=source_threshold,
-        k_target=int(k), k_source=int(k_source),
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class Exceedances:
     """One side's exceedances of the (n-k)-th order statistic of its n coupled values.
@@ -321,15 +232,6 @@ class Exceedances:
     excess: np.ndarray | None = None
     square: np.ndarray | None = None
     full: tuple | None = None
-
-    @classmethod
-    def of_columns(cls, k: int, threshold: float, excess: np.ndarray,
-                   indicator: np.ndarray, n: int) -> "Exceedances":
-        """From log-excess and indicator columns over n + m values, coupled first."""
-        square = excess * excess
-        full = (excess, square, indicator) if excess.size > n else None
-        return cls(k=int(k), threshold=threshold, indicator=indicator[:n],
-                   excess=excess[:n], square=square[:n], full=full)
 
     @cached_property
     def count(self) -> int:
@@ -369,7 +271,17 @@ def exceedances(coupled, k: int, extra=(),
     if len(extra):
         values = np.concatenate([coupled, np.asarray(extra, dtype=float)])
     excess, indicator = log_excess_indicators(values, threshold)
-    return Exceedances.of_columns(k, threshold, excess, indicator, n)
+    square = excess * excess
+    full = (excess, square, indicator) if len(extra) else None
+    return Exceedances(k=int(k), threshold=threshold, indicator=indicator[:n],
+                       excess=excess[:n], square=square[:n], full=full)
+
+
+def build_cv_variables(dataset: SemiSupervisedDataset, k: int,
+                       k_source: int | None = None):
+    """``acv.SufficientStatistics.of``, kept because ``perfbench/`` calls this name."""
+    from .acv import SufficientStatistics  # acv imports this module
+    return SufficientStatistics.of(dataset, k, k_source)
 
 
 def _json_fields(obj, omit=()) -> dict:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .acv import SufficientStatistics
-from .core import CvVariables, EstimationError, SemiSupervisedDataset, threshold_at
+from .core import EstimationError, SemiSupervisedDataset, threshold_at
 from .estimators import _ratio
 
 __all__ = [
@@ -77,9 +77,9 @@ def tail_dependence(paired_target, paired_source, k: int) -> float:
     return float(joint.sum() / int(k))
 
 
-def cv_correlations(variables: CvVariables) -> tuple[float, float]:
-    """Pearson correlations (corr(a, b), corr(c, d)) over the coupled sample."""
-    return SufficientStatistics.from_variables(variables).correlations()
+def cv_correlations(stats: SufficientStatistics) -> tuple[float, float]:
+    """``stats.correlations``, kept because ``perfbench/`` traces this name."""
+    return stats.correlations()
 
 
 def asymptotic_rvr_formula(lambda_hat: float, p: float, c_ab: float,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from .acv import SufficientStatistics
 from .core import (
-    CvVariables,
     EviEstimate,
     Method,
     SemiSupervisedDataset,
@@ -74,9 +73,9 @@ ESTIMATORS = {
 }
 
 
-def transferred_hill_from_variables(variables: CvVariables) -> EviEstimate:
-    """Transferred Hill estimate from pre-built control-variate variables."""
-    return _transferred_hill(SufficientStatistics.from_variables(variables))
+def transferred_hill_from_variables(stats: SufficientStatistics) -> EviEstimate:
+    """The transferred-Hill reader, kept because ``perfbench/`` traces this name."""
+    return _transferred_hill(stats)
 
 
 def transferred_hill(dataset: SemiSupervisedDataset, k: int,
@@ -105,9 +104,9 @@ def transferred_hill(dataset: SemiSupervisedDataset, k: int,
     return _transferred_hill(SufficientStatistics.of(dataset, k, k_source))
 
 
-def transferred_moment_from_variables(variables: CvVariables) -> EviEstimate:
-    """Transferred moment estimate from pre-built control-variate variables."""
-    return _transferred_moment(SufficientStatistics.from_variables(variables))
+def transferred_moment_from_variables(stats: SufficientStatistics) -> EviEstimate:
+    """The transferred-moment reader, kept because ``perfbench/`` traces this name."""
+    return _transferred_moment(stats)
 
 
 def transferred_moment(dataset: SemiSupervisedDataset, k: int,

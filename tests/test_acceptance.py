@@ -20,9 +20,9 @@ from tailcv import (
     ExperimentConfig,
     Method,
     acv_ratio_coefficients,
-    build_cv_variables,
     corrected_ratio,
     cv_coefficient,
+    exceedances,
     generate_dataset,
     hill,
     marginal_for_evi,
@@ -219,8 +219,10 @@ def test_criterion_09_hand_oracles(tiny_dataset, check_criterion):
                                extra_source=np.full(5, 16.0))
     unit = AcvCoefficients(alpha=1.0, beta=1.0, determinant=1.0,
                            degenerate=False)
-    v = build_cv_variables(ds, 2)
-    errors["acv_estimate"] = abs(corrected_ratio(v.a, v.b, v.c, v.d, unit)
+    target = exceedances(ds.paired_target, 2)
+    b_all, _, d_all = exceedances(ds.paired_source, 2, extra=ds.extra_source).full
+    errors["acv_estimate"] = abs(corrected_ratio(target.excess, b_all,
+                                                 target.indicator, d_all, unit)
                                  - 13.0 * LN2 / 7.0)
 
     # Ratio-of-means form versus mean-over-top-k form on tie-free samples.

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from tailcv import (
     AcvCoefficients,
-    CvVariables,
     EstimationError,
+    Exceedances,
+    SufficientStatistics,
     acv_ratio_coefficients,
     build_cv_variables,
     corrected_ratio,
@@ -120,9 +121,9 @@ def test_coefficients_match_fraction_oracle():
 
 def test_coefficients_match_linear_solve_oracle(theta5_dataset, theta5_config):
     # Independent route: (alpha, -r beta) solves the 2x2 control Gram system.
-    v = build_cv_variables(theta5_dataset, theta5_config.k)
-    n = v.n
-    a, b, c, d = v.a, v.b[:n], v.c, v.d[:n]
+    stats = build_cv_variables(theta5_dataset, theta5_config.k)
+    a, c = stats.target.excess, stats.target.indicator
+    b, d = stats.source.excess, stats.source.indicator
     r = hill(theta5_dataset.paired_target, theta5_config.k).value
     cov = np.cov(np.vstack([a, b, c, d]), ddof=1)
     gram = np.array([[cov[1, 1], cov[1, 3]], [cov[1, 3], cov[3, 3]]])
@@ -159,15 +160,18 @@ def test_coefficients_no_exceedances():
 
 
 def test_coefficient_scale_equivariance(theta5_dataset, theta5_config):
-    v = build_cv_variables(theta5_dataset, theta5_config.k)
-    n, scale = v.n, 37.0
+    stats = build_cv_variables(theta5_dataset, theta5_config.k)
+    a, c = stats.target.excess, stats.target.indicator
+    b, d = stats.source.excess, stats.source.indicator
+    b_all, _, d_all = stats.source.full
+    scale = 37.0
     r = hill(theta5_dataset.paired_target, theta5_config.k).value
-    base = acv_ratio_coefficients(v.a, v.b[:n], v.c, v.d[:n], r)
-    scaled = acv_ratio_coefficients(v.a, scale * v.b[:n], v.c, v.d[:n], r)
+    base = acv_ratio_coefficients(a, b, c, d, r)
+    scaled = acv_ratio_coefficients(a, scale * b, c, d, r)
     assert abs(scaled.alpha - base.alpha / scale) < 1e-10 * abs(base.alpha)
     assert abs(scaled.beta - base.beta) < 1e-10 * abs(base.beta)
-    est_base = corrected_ratio(v.a, v.b, v.c, v.d, base)
-    est_scaled = corrected_ratio(v.a, scale * v.b, v.c, v.d, scaled)
+    est_base = corrected_ratio(a, b_all, c, d_all, base)
+    est_scaled = corrected_ratio(a, scale * b_all, c, d_all, scaled)
     assert abs(est_scaled - est_base) < 1e-10
 
 
@@ -194,10 +198,12 @@ def test_coefficients_finite_on_simulated_data(seed):
 # -------------------------------------------------------- corrected ratio
 
 def test_corrected_ratio_m_zero_is_baseline_bitwise(tiny_dataset):
-    v = build_cv_variables(tiny_dataset, 2)
+    stats = build_cv_variables(tiny_dataset, 2)
+    a, c = stats.target.excess, stats.target.indicator
     coeffs = AcvCoefficients(alpha=0.87, beta=-1.3, determinant=1.0,
                              degenerate=False)
-    assert corrected_ratio(v.a, v.b, v.c, v.d, coeffs) == v.a.mean() / v.c.mean()
+    assert (corrected_ratio(a, stats.source.excess, c, stats.source.indicator,
+                            coeffs) == a.mean() / c.mean())
 
 
 def test_corrected_ratio_zero_coefficients_is_baseline_bitwise():
@@ -219,11 +225,12 @@ def test_corrected_ratio_hand_example(tiny_dataset):
         paired_source=tiny_dataset.paired_source,
         extra_source=np.full(5, 16.0),
     )
-    v = build_cv_variables(ds, 2)
+    stats = build_cv_variables(ds, 2)
+    b_all, _, d_all = stats.source.full
     coeffs = AcvCoefficients(alpha=1.0, beta=1.0, determinant=1.0,
                              degenerate=False)
-    assert abs(corrected_ratio(v.a, v.b, v.c, v.d, coeffs)
-               - 13.0 * LN2 / 7.0) < 1e-12
+    assert abs(corrected_ratio(stats.target.excess, b_all, stats.target.indicator,
+                               d_all, coeffs) - 13.0 * LN2 / 7.0) < 1e-12
 
 
 def test_corrected_ratio_degenerate_denominator():
@@ -236,13 +243,20 @@ def test_corrected_ratio_degenerate_denominator():
 
 # ---------------------------------------------- variance difference plug-in
 
-def make_orthogonal_variables():
-    b_all = np.concatenate([ORTH_B, [0.5, 0.0]])
-    d_all = np.concatenate([ORTH_D, [1.0, 0.0]])
-    return CvVariables(
-        a=ORTH_A, c=ORTH_C, g=ORTH_A ** 2, b=b_all, d=d_all, h=b_all ** 2,
-        target_threshold=1.0, source_threshold=1.0, k_target=4, k_source=4,
-    )
+def hand_statistics(a, c, b_all, d_all):
+    """Statistics of hand-made columns: a, c over n rows, b, d over n + m."""
+    n, h_all = a.size, b_all * b_all
+    target = Exceedances(k=int(c.sum()), threshold=1.0, indicator=c, excess=a,
+                         square=a * a)
+    source = Exceedances(k=int(d_all[:n].sum()), threshold=1.0,
+                         indicator=d_all[:n], excess=b_all[:n], square=h_all[:n],
+                         full=(b_all, h_all, d_all) if b_all.size > n else None)
+    return SufficientStatistics(target, source, m=b_all.size - n)
+
+
+def orthogonal_statistics():
+    return hand_statistics(ORTH_A, ORTH_C, np.concatenate([ORTH_B, [0.5, 0.0]]),
+                           np.concatenate([ORTH_D, [1.0, 0.0]]))
 
 
 def test_variance_difference_zero_when_m_zero(tiny_dataset):
@@ -251,15 +265,13 @@ def test_variance_difference_zero_when_m_zero(tiny_dataset):
 
 
 def test_variance_difference_exactly_zero_for_orthogonal_controls():
-    v = make_orthogonal_variables()
+    v = orthogonal_statistics()
     assert variance_difference_plugin(v, gamma_hat=2.0) == 0.0
 
 
 def test_variance_difference_degenerate_controls():
     c = np.array([1.0, 0, 1, 0, 1, 0])
-    v = CvVariables(a=2.0 * c, c=c, g=4.0 * c * c, b=3.0 * c, d=c,
-                    h=9.0 * c * c, target_threshold=1.0, source_threshold=1.0,
-                    k_target=3, k_source=3)
+    v = hand_statistics(2.0 * c, c, 3.0 * c, c)
     with pytest.raises(EstimationError, match="degenerate control variate"):
         variance_difference_plugin(v, gamma_hat=2.0)
 

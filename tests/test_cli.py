@@ -254,9 +254,14 @@ def test_estimate_rejects_unknown_method(data_path, capsys):
 
 
 def test_estimate_invalid_k_exit_code(data_path, capsys):
-    assert main(["estimate", "--data", data_path, "--k", "99",
-                 "--methods", "hill"]) == 1
-    assert "error: hill: invalid k" in capsys.readouterr().err
+    # Hill never reads the source side, so only the up-front check sees an
+    # invalid --k-source.
+    for k_flags in (["--k", "99"], ["--k", "1", "--k-source", "3"]):
+        assert main(["estimate", "--data", data_path, *k_flags,
+                     "--methods", "hill"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: hill: invalid k" in captured.err
 
 
 @pytest.mark.parametrize("k_flags", [["--k", "99"], ["--k", "1", "--k-source", "3"]])
@@ -357,6 +362,15 @@ def test_threshold_scan_table(tmp_path, config_path, capsys):
     best = min(lines[1:], key=lambda line: float(line.split(",")[1]))
     assert (f"median analytic variance minimized at l = {best.split(',')[0]}\n"
             in captured.err)
+
+
+@pytest.mark.parametrize("step", ["0", "-1"])
+def test_threshold_scan_rejects_nonpositive_step(config_path, capsys, step):
+    assert main(["threshold-scan", "--config", config_path, "--l-min", "5",
+                 "--l-max", "15", "--step", step]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: step must be positive" in captured.err
 
 
 def test_threshold_scan_without_finite_medians(tmp_path, capsys):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tailcv import (
-    CvVariables,
     EstimationError,
     EviEstimate,
     Method,
@@ -104,12 +103,11 @@ def test_dataset_validation():
                               paired_source=np.array([1.0, 2.0]))
 
 
-def test_dataset_counts_and_all_source():
+def test_dataset_counts_and_read_only():
     ds = SemiSupervisedDataset(paired_target=np.array([1.0, 2.0]),
                                paired_source=np.array([3.0, 4.0]),
                                extra_source=np.array([5.0]))
     assert (ds.n, ds.m) == (2, 1)
-    np.testing.assert_array_equal(ds.all_source(), [3.0, 4.0, 5.0])
     with pytest.raises(ValueError):
         ds.paired_target[0] = 9.0
 
@@ -120,34 +118,35 @@ def test_dataset_defaults_empty_extras():
     assert ds.m == 0
 
 
-# --------------------------------------------------------------- variables
+# ------------------------------------------------------- tail columns
 
 def test_build_cv_variables_hand_case(tiny_dataset):
-    v = build_cv_variables(tiny_dataset, k=2, k_source=2)
-    np.testing.assert_allclose(v.a, [0, 0, 0, LN2, 2 * LN2], atol=1e-15)
-    np.testing.assert_array_equal(v.c, [0, 0, 0, 1, 1])
-    np.testing.assert_array_equal(v.b, v.a)
-    np.testing.assert_array_equal(v.d, v.c)
-    np.testing.assert_array_equal(v.g, v.a ** 2)
-    assert v.target_threshold == 4.0 and v.source_threshold == 4.0
-    assert (v.n, v.m) == (5, 0)
+    stats = build_cv_variables(tiny_dataset, k=2, k_source=2)
+    target, source = stats.target, stats.source
+    np.testing.assert_allclose(target.excess, [0, 0, 0, LN2, 2 * LN2], atol=1e-15)
+    np.testing.assert_array_equal(target.indicator, [0, 0, 0, 1, 1])
+    np.testing.assert_array_equal(source.excess, target.excess)
+    np.testing.assert_array_equal(source.indicator, target.indicator)
+    np.testing.assert_array_equal(target.square, target.excess ** 2)
+    assert target.threshold == 4.0 and source.threshold == 4.0
+    assert (stats.n, stats.m) == (5, 0)
 
 
 def test_build_cv_variables_tied_source_all_zero():
     ds = SemiSupervisedDataset(paired_target=np.array([1.0, 2, 4, 8, 16]),
                                paired_source=np.ones(5))
-    v = build_cv_variables(ds, k=2, k_source=2)
-    np.testing.assert_array_equal(v.d, np.zeros(5))
-    np.testing.assert_array_equal(v.b, np.zeros(5))
+    source = build_cv_variables(ds, k=2, k_source=2).source
+    np.testing.assert_array_equal(source.indicator, np.zeros(5))
+    np.testing.assert_array_equal(source.excess, np.zeros(5))
 
 
 def test_build_cv_variables_tied_target_empty_exceedances():
     ds = SemiSupervisedDataset(paired_target=np.array([1.0, 2, 3, 3, 3]),
                                paired_source=np.array([1.0, 2, 4, 8, 16]))
-    v = build_cv_variables(ds, k=2, k_source=2)
-    assert v.target_threshold == 3.0
-    np.testing.assert_array_equal(v.a, np.zeros(5))
-    np.testing.assert_array_equal(v.c, np.zeros(5))
+    target = build_cv_variables(ds, k=2, k_source=2).target
+    assert target.threshold == 3.0
+    np.testing.assert_array_equal(target.excess, np.zeros(5))
+    np.testing.assert_array_equal(target.indicator, np.zeros(5))
 
 
 def test_source_threshold_from_coupled_rows_only():
@@ -155,42 +154,30 @@ def test_source_threshold_from_coupled_rows_only():
     ds = SemiSupervisedDataset(paired_target=np.array([1.0, 2, 4, 8, 16]),
                                paired_source=np.array([1.0, 2, 4, 8, 16]),
                                extra_source=np.array([100.0, 200.0, 300.0]))
-    v = build_cv_variables(ds, k=2, k_source=2)
-    assert v.source_threshold == 4.0
-    assert len(v.b) == len(v.d) == 8
-    np.testing.assert_array_equal(v.d[5:], [1, 1, 1])
+    source = build_cv_variables(ds, k=2, k_source=2).source
+    excess, square, indicator = source.full
+    assert source.threshold == 4.0
+    assert len(excess) == len(square) == len(indicator) == 8
+    np.testing.assert_array_equal(indicator[5:], [1, 1, 1])
 
 
 def test_cv_variables_tie_free_counts(theta5_dataset, theta5_config):
-    v = build_cv_variables(theta5_dataset, theta5_config.k,
-                           theta5_config.k_source)
-    assert int(v.c.sum()) == theta5_config.k
-    assert int(v.d[: v.n].sum()) == theta5_config.k_source
+    stats = build_cv_variables(theta5_dataset, theta5_config.k,
+                               theta5_config.k_source)
+    assert stats.target.count == theta5_config.k
+    assert stats.source.count == theta5_config.k_source
 
 
 def test_target_scale_invariance(theta5_dataset, theta5_config):
-    v = build_cv_variables(theta5_dataset, theta5_config.k)
+    v = build_cv_variables(theta5_dataset, theta5_config.k).target
     scaled = SemiSupervisedDataset(
         paired_target=theta5_dataset.paired_target * 37.5,
         paired_source=theta5_dataset.paired_source,
         extra_source=theta5_dataset.extra_source,
     )
-    w = build_cv_variables(scaled, theta5_config.k)
-    np.testing.assert_allclose(w.a, v.a, atol=1e-12)
-    np.testing.assert_array_equal(w.c, v.c)
-
-
-def test_cv_variables_invariants_enforced():
-    a = np.array([0.0, 2.0])
-    c = np.array([0.0, 1.0])
-    with pytest.raises(ValueError):
-        CvVariables(a=a, c=c, g=a, b=a, d=c, h=a ** 2,
-                    target_threshold=1.0, source_threshold=1.0,
-                    k_target=1, k_source=1)  # g != a*a
-    with pytest.raises(ValueError):
-        CvVariables(a=a, c=np.array([0.0, 2.0]), g=a ** 2, b=a, d=c, h=a ** 2,
-                    target_threshold=1.0, source_threshold=1.0,
-                    k_target=1, k_source=1)  # c not binary
+    w = build_cv_variables(scaled, theta5_config.k).target
+    np.testing.assert_allclose(w.excess, v.excess, atol=1e-12)
+    np.testing.assert_array_equal(w.indicator, v.indicator)
 
 
 # ----------------------------------------------------------- method/estimate

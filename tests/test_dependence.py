@@ -61,8 +61,8 @@ def test_tail_dependence_validation():
 # ------------------------------------------------------------- correlations
 
 def test_cv_correlations_perfect_for_identical_sides(tiny_dataset):
-    variables = build_cv_variables(tiny_dataset, 2)
-    corr_ab, corr_cd = cv_correlations(variables)
+    stats = build_cv_variables(tiny_dataset, 2)
+    corr_ab, corr_cd = cv_correlations(stats)
     assert abs(corr_ab - 1.0) < 1e-12
     assert abs(corr_cd - 1.0) < 1e-12
 
@@ -70,9 +70,9 @@ def test_cv_correlations_perfect_for_identical_sides(tiny_dataset):
 def test_cv_correlations_degenerate_variance():
     ds = SemiSupervisedDataset(paired_target=np.array([1.0, 2, 4, 8, 16]),
                                paired_source=np.ones(5))
-    variables = build_cv_variables(ds, 2, k_source=2)
+    stats = build_cv_variables(ds, 2, k_source=2)
     with pytest.raises(EstimationError, match="degenerate control variate"):
-        cv_correlations(variables)
+        cv_correlations(stats)
 
 
 # --------------------------------------------------------- closed-form RVR

@@ -5,13 +5,14 @@ estimator and diagnostic read one ``SufficientStatistics`` object: each
 function re-sorts, rebuilds the control-variate variables and its own
 covariance, composed the way the replication record composed them. Each
 covariance entry sums the products of its own two deviation rows, so it
-does not depend on the other rows or on the BLAS kernel.
-``build_cv_variables``, ``threshold_at``, ``log_excess_indicators``,
-``tail_dependence`` and ``moment_from_log_moments`` kept their code and are
-called directly.
+does not depend on the other rows or on the BLAS kernel. ``ref_variables``
+builds the control-variate columns (a, g, b, h, c, d) as that code did.
+``threshold_at``, ``log_excess_indicators``, ``tail_dependence`` and
+``moment_from_log_moments`` kept their code and are called directly.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,6 +49,19 @@ from tailcv.simulate import _replication_record, _run_replication
 METHODS = tuple(Method)
 
 # ------------------------------------------------ reference: separate calls
+
+
+def ref_variables(ds, k, k_source):
+    """The control-variate columns, as the package built them.
+
+    a, c, g cover the n coupled targets; b, d, h cover all n + m source
+    values, coupled first, over the threshold of the n coupled ones.
+    """
+    a, c = log_excess_indicators(ds.paired_target, threshold_at(ds.paired_target, k))
+    b, d = log_excess_indicators(
+        np.concatenate([ds.paired_source, ds.extra_source]),
+        threshold_at(ds.paired_source, k_source))
+    return SimpleNamespace(a=a, c=c, g=a * a, b=b, d=d, h=b * b, n=ds.n, m=ds.m)
 
 
 def ref_ratio(excess, indicator):
@@ -192,7 +206,7 @@ def ref_record(ds, k, k_source, estimators):
     record = dict.fromkeys(("lambda_hat", "corr_ab", "corr_cd", "c_ad_hat",
                             "c_ab_hat", "p_hat", "asymptotic_rvr"), nan)
     try:
-        v = build_cv_variables(ds, k, k_source)
+        v = ref_variables(ds, k, k_source)
     except EstimationError:
         v = None
     for method in estimators:
@@ -302,7 +316,7 @@ def test_one_object_equals_separate_calls_on_any_dataset(case):
     for public, reference in ((transferred_hill, ref_transferred_hill),
                               (transferred_moment, ref_transferred_moment)):
         def expected_value():
-            value = reference(build_cv_variables(dataset, k, k_source))
+            value = reference(ref_variables(dataset, k, k_source))
             return value[0] if isinstance(value, tuple) else value
 
         assert (outcome(lambda: public(dataset, k, k_source).value)
@@ -312,25 +326,57 @@ def test_one_object_equals_separate_calls_on_any_dataset(case):
 @given(datasets(), st.floats(min_value=-5.0, max_value=5.0))
 def test_variable_readers_equal_separate_calls(case, gamma):
     dataset, k, k_source = case
+    stats = build_cv_variables(dataset, k, k_source)
+    readers = (lambda: variance_difference_plugin(stats, gamma),
+               lambda: transferred_hill_from_variables(stats).variance_estimate,
+               lambda: transferred_moment_from_variables(stats).value,
+               lambda: cv_correlations(stats)[0],
+               lambda: cv_correlations(stats)[1])
     try:
-        v = build_cv_variables(dataset, k, k_source)
+        v = ref_variables(dataset, k, k_source)
+    except EstimationError as error:
+        # The columns are undefined. The plug-in and the correlations give
+        # that reason; the estimators may first find no target exceedances.
+        for reader in readers:
+            with pytest.raises(EstimationError) as raised:
+                reader()
+            assert str(raised.value) in (str(error), "no exceedances")
+        return
+    references = (lambda: ref_plugin(v, gamma),
+                  lambda: ref_transferred_hill(v)[1],
+                  lambda: ref_transferred_moment(v),
+                  lambda: ref_cv_correlations(v)[0],
+                  lambda: ref_cv_correlations(v)[1])
+    for reader, reference in zip(readers, references):
+        assert outcome(reader) == outcome(reference)
+
+
+@given(datasets())
+def test_estimates_and_diagnostics_are_finite_or_raise(case):
+    dataset, k, k_source = case
+    target = dataset.paired_target
+    for estimate in (lambda: hill(target, k), lambda: moment(target, k),
+                     lambda: transferred_hill(dataset, k, k_source),
+                     lambda: transferred_moment(dataset, k, k_source)):
+        try:
+            result = estimate()
+        except EstimationError:
+            continue
+        assert math.isfinite(result.value)
+        assert (result.variance_estimate is None
+                or math.isfinite(result.variance_estimate))
+    try:
+        report = dependence_report(dataset, k, k_source)
     except EstimationError:
         return
-    assert (outcome(lambda: variance_difference_plugin(v, gamma))
-            == outcome(lambda: ref_plugin(v, gamma)))
-    assert (outcome(lambda: transferred_hill_from_variables(v).variance_estimate)
-            == outcome(lambda: ref_transferred_hill(v)[1]))
-    assert (outcome(lambda: transferred_moment_from_variables(v).value)
-            == outcome(lambda: ref_transferred_moment(v)))
-    for index in (0, 1):
-        assert (outcome(lambda: cv_correlations(v)[index])
-                == outcome(lambda: ref_cv_correlations(v)[index]))
+    for value in (report.lambda_hat, report.corr_ab, report.corr_cd, report.p_hat):
+        assert math.isfinite(value)
 
 
 def test_dependence_report_reads_one_object(theta5_dataset, theta5_config):
     k = theta5_config.k
     report = dependence_report(theta5_dataset, k, 80)
-    v = build_cv_variables(theta5_dataset, k, 80)
+    v = ref_variables(theta5_dataset, k, 80)
     assert (report.corr_ab, report.corr_cd) == ref_cv_correlations(v)
     assert (report.c_ab_hat, report.c_ad_hat) == ref_scaled_moments(
         theta5_dataset, k, 80)
@@ -353,7 +399,7 @@ def test_m_zero_shift_is_exactly_zero(theta5_dataset, theta5_config):
 def test_one_moment_matrix_per_dataset(theta5_dataset, theta5_config):
     stats = SufficientStatistics.of(theta5_dataset, theta5_config.k)
     assert stats.moments.covariance.shape == (6, 6)
-    v = build_cv_variables(theta5_dataset, theta5_config.k)
+    v = ref_variables(theta5_dataset, theta5_config.k, theta5_config.k)
     n = v.n
     expected = ref_cov(v.a, v.g, v.b[:n], v.h[:n], v.c, v.d[:n])
     assert np.array_equal(stats.moments.covariance, expected)
