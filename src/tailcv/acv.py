@@ -222,7 +222,9 @@ class SufficientStatistics:
     exceedance frequency at k (None unless built by ``of``). ``moments`` is
     None when a side has no log-excesses, the source is absent or n < 3;
     ``missing`` then says why, and readers of the matrix raise it. ``m``
-    counts the extra source values.
+    counts the extra source values; they enter only through ``source``'s
+    full-sample means, which ``corrected_ratio`` reads, and no (n + m)-long
+    column is kept.
     """
 
     target: Exceedances
@@ -323,7 +325,7 @@ class SufficientStatistics:
             if cov[x, x] == 0.0 or cov[y, y] == 0.0:
                 raise EstimationError("degenerate control variate")
             value = cov[x, y] / np.sqrt(cov[x, x]) / np.sqrt(cov[y, y])
-            out.append(float(np.clip(value, -1.0, 1.0)))
+            out.append(float(min(max(value, -1.0), 1.0)))
         return out[0], out[1]
 
 

@@ -219,11 +219,13 @@ class Exceedances:
 
     ``indicator`` (0/1), ``excess`` (log-excess, 0.0 off the exceedances) and
     ``square`` hold the n coupled rows, and ``means`` are their means in that
-    order. ``full`` holds the same three columns over all values, coupled
-    first, when there are extra ones; ``full_means`` are their means, and the
-    very same tuple as ``means`` when there are none. Means are computed on
-    first use. All but ``indicator`` are None when the threshold is not
-    positive.
+    order. ``extra`` holds what the full-sample means need of the m extra
+    values: (m, sum of their log-excesses, sum of their squares, their
+    exceedance count), each over the values above the threshold alone.
+    ``full_means`` are the means of the three columns over all n + m values,
+    the coupled sum plus the extra one over n + m, and the very same tuple as
+    ``means`` when there are no extra values. Means are computed on first use.
+    All but ``indicator`` are None when the threshold is not positive.
     """
 
     k: int
@@ -231,7 +233,7 @@ class Exceedances:
     indicator: np.ndarray
     excess: np.ndarray | None = None
     square: np.ndarray | None = None
-    full: tuple | None = None
+    extra: tuple | None = None
 
     @cached_property
     def count(self) -> int:
@@ -247,34 +249,40 @@ class Exceedances:
 
     @cached_property
     def full_means(self) -> tuple | None:
-        if self.full is None:
+        if self.extra is None:
             return self.means
-        return tuple(column.mean() for column in self.full)
+        m, *sums = self.extra
+        total = self.indicator.size + m
+        return tuple((np.add.reduce(column) + extra) / total for column, extra
+                     in zip((self.excess, self.square, self.indicator), sums))
 
 
 def exceedances(coupled, k: int, extra=(),
                 ordered: np.ndarray | None = None) -> Exceedances:
-    """Exceedances of ``coupled`` plus ``extra`` values, from one sort.
+    """Exceedances of ``coupled``, plus the sums of ``extra`` values, from one sort.
 
     The threshold is the (n-k)-th order statistic of the n coupled values;
-    ``ordered`` may pass their sorted copy to skip the sort.
+    ``ordered`` may pass their sorted copy to skip the sort. Each extra value
+    is compared with the threshold once, and only those above it are logged,
+    so no (n + m)-long column is built.
     """
     coupled = np.asarray(coupled, dtype=float)
-    n = coupled.size
     if ordered is None:
         ordered = order_statistics(coupled)
     threshold = _order_statistic(ordered, k)
     if threshold <= 0:
         return Exceedances(k=int(k), threshold=threshold,
                            indicator=(coupled > threshold).astype(float))
-    values = coupled
+    excess, indicator = log_excess_indicators(coupled, threshold)
+    sums = None
     if len(extra):
-        values = np.concatenate([coupled, np.asarray(extra, dtype=float)])
-    excess, indicator = log_excess_indicators(values, threshold)
-    square = excess * excess
-    full = (excess, square, indicator) if len(extra) else None
-    return Exceedances(k=int(k), threshold=threshold, indicator=indicator[:n],
-                       excess=excess[:n], square=square[:n], full=full)
+        extra = np.asarray(extra, dtype=float)
+        above = np.compress(extra > threshold, extra)
+        log_excess = np.log(above) - np.log(threshold)
+        sums = (extra.size, np.add.reduce(log_excess),
+                np.add.reduce(log_excess * log_excess), above.size)
+    return Exceedances(k=int(k), threshold=threshold, indicator=indicator,
+                       excess=excess, square=excess * excess, extra=sums)
 
 
 def build_cv_variables(dataset: SemiSupervisedDataset, k: int,

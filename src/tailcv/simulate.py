@@ -162,8 +162,8 @@ def sample_gumbel_copula(theta: float, count: int,
     of index 1/theta from the Chambers-Mallows-Stuck formula, two standard
     exponentials E1, E2, and U_i = exp(-(E_i/S)**(1/theta)). theta = 1 is the
     independence copula and is returned as plain uniforms. Outputs are nudged
-    into the open interval (0, 1) by one ulp as a numeric guard (relevant
-    only with probability below 1e-19 per draw).
+    into the open interval (0, 1) by ``_open_unit`` as a numeric guard
+    (relevant only with probability below 1e-19 per draw).
 
     Returns
     -------
@@ -186,9 +186,16 @@ def sample_gumbel_copula(theta: float, count: int,
         e2 = rng.standard_exponential(count)
         u1 = np.exp(-((e1 / stable) ** index))
         u2 = np.exp(-((e2 / stable) ** index))
-    lo = np.finfo(float).tiny
-    hi = np.nextafter(1.0, 0.0)
-    return np.clip(u1, lo, hi), np.clip(u2, lo, hi)
+    return _open_unit(u1), _open_unit(u2)
+
+
+def _open_unit(u: np.ndarray) -> np.ndarray:
+    """Uniforms clipped into [tiny, 1 - 2**-53], strictly inside (0, 1).
+
+    Only values outside that range move. ``Generator.random`` returns 0.0 with
+    probability 2**-53 per draw, and ``Marginal.quantile`` rejects it.
+    """
+    return np.clip(u, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
 
 
 def _normalize_estimators(estimators) -> tuple[Method, ...]:
@@ -279,7 +286,7 @@ def generate_dataset(config: ExperimentConfig,
     source = config.source_marginal.quantile(u_source)
     if config.m > 0:
         rng_extra = _stream(config.seed, replication_index, _ROLE_EXTRA)
-        extra = config.source_marginal.quantile(rng_extra.random(config.m))
+        extra = config.source_marginal.quantile(_open_unit(rng_extra.random(config.m)))
     else:
         extra = np.empty(0)
     return SemiSupervisedDataset(paired_target=target, paired_source=source,

@@ -25,12 +25,14 @@ from tailcv import (
     exceedances,
     generate_dataset,
     hill,
+    log_excess_indicators,
     marginal_for_evi,
     moment,
     run_rvr_experiment,
     sample_gumbel_copula,
     source_threshold_scan,
     tail_dependence,
+    threshold_at,
     transferred_hill,
     transferred_moment,
 )
@@ -220,7 +222,9 @@ def test_criterion_09_hand_oracles(tiny_dataset, check_criterion):
     unit = AcvCoefficients(alpha=1.0, beta=1.0, determinant=1.0,
                            degenerate=False)
     target = exceedances(ds.paired_target, 2)
-    b_all, _, d_all = exceedances(ds.paired_source, 2, extra=ds.extra_source).full
+    b_all, d_all = log_excess_indicators(
+        np.concatenate([ds.paired_source, ds.extra_source]),
+        threshold_at(ds.paired_source, 2))
     errors["acv_estimate"] = abs(corrected_ratio(target.excess, b_all,
                                                  target.indicator, d_all, unit)
                                  - 13.0 * LN2 / 7.0)

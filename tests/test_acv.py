@@ -16,6 +16,7 @@ from tailcv import (
     cv_coefficient,
     generate_dataset,
     hill,
+    log_excess_indicators,
     moment_statistics,
     variance_difference_plugin,
 )
@@ -28,6 +29,12 @@ ORTH_C = np.array([1.0, 1, 0, 0, 1, 1, 0, 0])
 ORTH_D = np.array([1.0, 0, 1, 0, 1, 0, 1, 0])
 ORTH_B = np.array([0.0, 1, 0, 1, 1, 0, 1, 0])
 ORTH_A = 2.0 * ORTH_C
+
+
+def full_columns(dataset, threshold):
+    """Source log-excess and indicator columns over all n + m values, coupled first."""
+    return log_excess_indicators(
+        np.concatenate([dataset.paired_source, dataset.extra_source]), threshold)
 
 
 def frac_cov(x, y):
@@ -163,7 +170,7 @@ def test_coefficient_scale_equivariance(theta5_dataset, theta5_config):
     stats = build_cv_variables(theta5_dataset, theta5_config.k)
     a, c = stats.target.excess, stats.target.indicator
     b, d = stats.source.excess, stats.source.indicator
-    b_all, _, d_all = stats.source.full
+    b_all, d_all = full_columns(theta5_dataset, stats.source.threshold)
     scale = 37.0
     r = hill(theta5_dataset.paired_target, theta5_config.k).value
     base = acv_ratio_coefficients(a, b, c, d, r)
@@ -226,7 +233,7 @@ def test_corrected_ratio_hand_example(tiny_dataset):
         extra_source=np.full(5, 16.0),
     )
     stats = build_cv_variables(ds, 2)
-    b_all, _, d_all = stats.source.full
+    b_all, d_all = full_columns(ds, stats.source.threshold)
     coeffs = AcvCoefficients(alpha=1.0, beta=1.0, determinant=1.0,
                              degenerate=False)
     assert abs(corrected_ratio(stats.target.excess, b_all, stats.target.indicator,
@@ -246,12 +253,14 @@ def test_corrected_ratio_degenerate_denominator():
 def hand_statistics(a, c, b_all, d_all):
     """Statistics of hand-made columns: a, c over n rows, b, d over n + m."""
     n, h_all = a.size, b_all * b_all
+    m = b_all.size - n
     target = Exceedances(k=int(c.sum()), threshold=1.0, indicator=c, excess=a,
                          square=a * a)
     source = Exceedances(k=int(d_all[:n].sum()), threshold=1.0,
                          indicator=d_all[:n], excess=b_all[:n], square=h_all[:n],
-                         full=(b_all, h_all, d_all) if b_all.size > n else None)
-    return SufficientStatistics(target, source, m=b_all.size - n)
+                         extra=(m, b_all[n:].sum(), h_all[n:].sum(),
+                                d_all[n:].sum()) if m else None)
+    return SufficientStatistics(target, source, m=m)
 
 
 def orthogonal_statistics():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,12 +7,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tailcv import (
+    ESTIMATORS,
     EstimationError,
     EviEstimate,
+    ExperimentConfig,
+    Marginal,
     Method,
     SemiSupervisedDataset,
+    SufficientStatistics,
     TransferCoefficients,
     build_cv_variables,
+    exceedances,
+    generate_dataset,
     log_excess_indicators,
     order_statistics,
     threshold_at,
@@ -155,10 +163,61 @@ def test_source_threshold_from_coupled_rows_only():
                                paired_source=np.array([1.0, 2, 4, 8, 16]),
                                extra_source=np.array([100.0, 200.0, 300.0]))
     source = build_cv_variables(ds, k=2, k_source=2).source
-    excess, square, indicator = source.full
     assert source.threshold == 4.0
-    assert len(excess) == len(square) == len(indicator) == 8
+    _, indicator = log_excess_indicators(
+        np.concatenate([ds.paired_source, ds.extra_source]), source.threshold)
     np.testing.assert_array_equal(indicator[5:], [1, 1, 1])
+    assert source.extra[0] == 3 and source.extra[3] == 3
+    assert source.full_means[2] == indicator.mean()
+
+
+# Few distinct values, so coupled values tie and extras equal the threshold.
+tail_values = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0]))
+
+
+@st.composite
+def coupled_extra_k(draw):
+    n = draw(st.integers(min_value=3, max_value=40))
+    coupled = np.array(draw(st.lists(tail_values, min_size=n, max_size=n)))
+    k = draw(st.integers(min_value=1, max_value=n - 1))
+    at_threshold = st.just(threshold_at(coupled, k))
+    extra = draw(st.lists(st.one_of(tail_values, at_threshold), max_size=60))
+    return coupled, np.array(extra, dtype=float), k
+
+
+@given(coupled_extra_k())
+def test_full_means_equal_means_of_concatenated_columns(case):
+    coupled, extra, k = case
+    with np.errstate(all="raise"):
+        side = exceedances(coupled, k, extra=extra)
+        means = side.full_means
+    if side.threshold <= 0:
+        assert means is None
+        return
+    if not extra.size:
+        assert means is side.means
+    excess, indicator = log_excess_indicators(np.concatenate([coupled, extra]),
+                                              side.threshold)
+    assert means[2] == indicator.mean()
+    for value, column in zip(means[:2], (excess, excess * excess)):
+        assert abs(value - column.mean()) <= 1e-13 * column.mean()
+
+
+def test_statistics_build_no_full_length_column():
+    # The bootstrap-wide shape: 500 coupled pairs and 24,500 extra values.
+    config = ExperimentConfig(gamma_t=0.25, theta=5.0, n=500, m=24_500, k=50,
+                              source_marginal=Marginal.standard_normal())
+    dataset = generate_dataset(config, 0)
+    tracemalloc.start()
+    try:
+        stats = SufficientStatistics.of(dataset, config.k)
+        for method in Method:
+            ESTIMATORS[method](stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (config.n + config.m) * 8
 
 
 def test_cv_variables_tie_free_counts(theta5_dataset, theta5_config):

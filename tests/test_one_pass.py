@@ -6,7 +6,9 @@ function re-sorts, rebuilds the control-variate variables and its own
 covariance, composed the way the replication record composed them. Each
 covariance entry sums the products of its own two deviation rows, so it
 does not depend on the other rows or on the BLAS kernel. ``ref_variables``
-builds the control-variate columns (a, g, b, h, c, d) as that code did.
+builds the control-variate columns (a, g, b, h, c, d) as that code did;
+``ref_full_mean`` takes a full-sample mean over them as the package does,
+summing the coupled rows and the exceeding extras separately.
 ``threshold_at``, ``log_excess_indicators``, ``tail_dependence`` and
 ``moment_from_log_moments`` kept their code and are called directly.
 """
@@ -115,10 +117,21 @@ def ref_coefficients(a, b, c, d, r):
     return float(alpha), float(beta), False
 
 
+def ref_full_mean(column, indicator, n):
+    """Mean over all n + m rows: the coupled column sum plus the sum over the
+    exceeding extras, in input order, divided by n + m."""
+    if column.size == n:
+        return column.mean()
+    extras = column[n:][indicator[n:] > 0.0]
+    return (np.add.reduce(column[:n]) + np.add.reduce(extras)) / column.size
+
+
 def ref_corrected(num, num_all, den, den_all, alpha, beta):
     n = num.size
-    numerator = num.mean() + alpha * (num_all.mean() - num_all[:n].mean())
-    denominator = den.mean() + beta * (den_all.mean() - den_all[:n].mean())
+    numerator = num.mean() + alpha * (ref_full_mean(num_all, den_all, n)
+                                      - num_all[:n].mean())
+    denominator = den.mean() + beta * (ref_full_mean(den_all, den_all, n)
+                                       - den_all[:n].mean())
     if denominator == 0.0:
         raise EstimationError("degenerate denominator")
     return float(numerator / denominator)

@@ -23,7 +23,7 @@ from tailcv import (
     build_cv_variables,
     variance_difference_plugin,
 )
-from tailcv.simulate import _scan_replication, _stream
+from tailcv.simulate import _ROLE_EXTRA, _scan_replication, _stream
 
 
 # ---------------------------------------------------------------- marginals
@@ -150,6 +150,34 @@ def test_generate_dataset_m_zero():
     config = ExperimentConfig(gamma_t=0.5, theta=5.0, n=50, m=0,
                               source_marginal=Marginal.pareto(1.0))
     assert generate_dataset(config, 0).m == 0
+
+
+def test_extra_uniform_of_zero_does_not_abort_the_study():
+    # Generator.random returns exactly 0.0 with probability 2**-53 per draw.
+    class ZeroFirst:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, size):
+            u = self.rng.random(size)
+            u[0] = 0.0
+            return u
+
+    def stream(seed, index, role):
+        rng = _stream(seed, index, role)
+        return ZeroFirst(rng) if role == _ROLE_EXTRA else rng
+
+    config = ExperimentConfig(gamma_t=0.25, theta=5.0, n=100, m=50, k=10,
+                              source_marginal=Marginal.standard_normal(),
+                              replications=3, seed=5)
+    plain = generate_dataset(config, 0)
+    with mock.patch("tailcv.simulate._stream", stream):
+        stubbed = generate_dataset(config, 0)
+        report = run_rvr_experiment(config, workers=1)
+    assert np.isfinite(stubbed.extra_source[0])
+    np.testing.assert_array_equal(stubbed.extra_source[1:], plain.extra_source[1:])
+    np.testing.assert_array_equal(stubbed.paired_source, plain.paired_source)
+    assert report.replications == 3
 
 
 def test_generate_dataset_strong_dependence_log_correlation():
