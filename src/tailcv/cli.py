@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .acv import SufficientStatistics
-from .core import EstimationError, SemiSupervisedDataset, _json_fields
+from .core import EstimationError, Method, SemiSupervisedDataset, _json_fields
 from .dependence import _dependence_report
 from .estimators import hill_plot
 from .simulate import (
@@ -93,17 +93,20 @@ def load_data_file(path: str) -> DataFile:
         if tuple(cell.strip() for cell in header) != _HEADER:
             raise ValueError(f"{path}:1: header must be 'target,source'")
         for line, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
+            # A row whose cells are all blank is skipped, whatever its length.
             if len(row) != 2:
-                raise ValueError(f"{path}:{line}: expected 2 cells, got {len(row)}")
-            target_cell, source_cell = (cell.strip() for cell in row)
-            source = _parse_cell(source_cell, path, line)
+                if any(cell.strip() for cell in row):
+                    raise ValueError(
+                        f"{path}:{line}: expected 2 cells, got {len(row)}")
+                continue
+            target_cell = row[0].strip()
+            source_cell = row[1].strip()
             if target_cell:
+                source = _parse_cell(source_cell, path, line)
                 targets.append(_parse_cell(target_cell, path, line))
                 sources.append(source)
-            else:
-                extras.append(source)
+            elif source_cell:
+                extras.append(_parse_cell(source_cell, path, line))
     if len(targets) < 3:
         raise ValueError(f"{path}: needs at least 3 coupled rows, got {len(targets)}")
     dataset = SemiSupervisedDataset(
@@ -254,6 +257,12 @@ def _cmd_estimate(args) -> int:
                 return 1
             print(f"diagnostic: {method.value}: {exc}", file=sys.stderr)
             continue
+        # The plug-in reduction exceeded the baseline variance.
+        if (method is Method.TRANSFERRED_HILL
+                and not estimate.coefficients.degenerate
+                and estimate.variance_estimate == 0.0):
+            print(f"diagnostic: {method.value}: variance estimate clipped at 0",
+                  file=sys.stderr)
         # The method already keys the record.
         estimates[method.value] = _json_fields(estimate, omit=("method",))
     try:

@@ -12,13 +12,12 @@ can run in any order or in parallel with bit-identical results.
 
 from __future__ import annotations
 
+import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .acv import SufficientStatistics, _variance_differences
 from .core import (
@@ -67,6 +66,17 @@ def _stream(seed: int, index: int, role: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(sequence))
 
 
+# The parameters each marginal family reads.
+_FAMILY_PARAMETERS = {"pareto": ("gamma", "y_m"), "normal": (), "beta": ("shape_b",)}
+
+
+def _check_finite(instance, names) -> None:
+    """Reject NaN and infinite fields, which every comparison lets through."""
+    for name in names:
+        if not math.isfinite(getattr(instance, name)):
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class Marginal:
     """Marginal distribution specification for data generation.
@@ -84,8 +94,9 @@ class Marginal:
     shape_b: float = 1.0
 
     def __post_init__(self):
-        if self.family not in ("pareto", "normal", "beta"):
+        if self.family not in _FAMILY_PARAMETERS:
             raise ValueError(f"unknown marginal family '{self.family}'")
+        _check_finite(self, _FAMILY_PARAMETERS[self.family])
         if self.family == "pareto" and (self.gamma <= 0 or self.y_m <= 0):
             raise ValueError("pareto marginal needs gamma > 0 and y_m > 0")
         if self.family == "beta" and self.shape_b <= 0:
@@ -120,6 +131,7 @@ class Marginal:
         if self.family == "pareto":
             return self.y_m * (1.0 - arr) ** (-self.gamma)
         if self.family == "normal":
+            from scipy.special import ndtri  # loaded by normal marginals only
             return ndtri(arr)
         return 1.0 - (1.0 - arr) ** (1.0 / self.shape_b)
 
@@ -129,6 +141,7 @@ class Marginal:
         if self.family == "pareto":
             return 1.0 - (arr / self.y_m) ** (-1.0 / self.gamma)
         if self.family == "normal":
+            from scipy.special import ndtr
             return ndtr(arr)
         return 1.0 - (1.0 - arr) ** self.shape_b
 
@@ -147,6 +160,8 @@ def marginal_for_evi(gamma: float, y_m: float = 1e-3) -> Marginal:
     Positive gamma gives Pareto(gamma, y_m), zero the standard normal, and
     negative gamma the bounded Beta(1, -1/gamma).
     """
+    if not math.isfinite(gamma):
+        raise ValueError("gamma must be finite")
     if gamma > 0:
         return Marginal.pareto(gamma, y_m)
     if gamma == 0:
@@ -169,6 +184,8 @@ def sample_gumbel_copula(theta: float, count: int,
     -------
     (u1, u2) : pair of np.ndarray of length ``count``
     """
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
     if theta < 1.0:
         raise ValueError("theta must be >= 1")
     if count <= 0:
@@ -246,6 +263,7 @@ class ExperimentConfig:
     y_m: float = 1e-3
 
     def __post_init__(self):
+        _check_finite(self, ("gamma_t", "theta", "y_m"))
         if self.gamma_t <= 0:
             raise ValueError("gamma_t must be positive")
         if self.theta < 1.0:
@@ -335,7 +353,14 @@ def _estimate_values(stats: SufficientStatistics, methods) -> dict:
 
 def _resolve_workers(workers: int | None) -> int:
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
+        value = os.environ.get(WORKERS_ENV_VAR, "1")
+        try:
+            workers = int(value)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ValueError(f"{WORKERS_ENV_VAR} must be a positive integer, "
+                             f"got '{value}'")
     if workers < 1:
         raise ValueError("workers must be at least 1")
     return workers
@@ -346,6 +371,9 @@ def _map_replications(func, count: int, workers: int | None) -> list:
     workers = _resolve_workers(workers)
     if workers <= 1 or count <= 1:
         return [func(index) for index in range(count)]
+    # Imported here so that serial runs never load the pool's modules.
+    from concurrent.futures import ProcessPoolExecutor
+
     chunksize = max(1, count // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, range(count), chunksize=chunksize))

@@ -1,6 +1,7 @@
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -105,6 +106,46 @@ def test_load_data_file_skips_blank_lines(tmp_path):
     path = tmp_path / "gaps.csv"
     path.write_text("target,source\n1,2\n\n3,4\n\n5,6\n")
     assert load_data_file(str(path)).dataset.n == 3
+
+
+@pytest.mark.parametrize("text,message", [
+    ("target,source\n1,2\nabc,4\n5,6\n7,8\n", "3: not a number: 'abc'"),
+    ("target,source\n1,2\n3,4\n5,6\n,x7\n", "5: not a number: 'x7'"),
+    ("target,source\n1,2\n3, inf\n5,6\n", "3: non-finite value 'inf'"),
+    ("target,source\n1,2\n3,4\n5\n7,8\n", "4: expected 2 cells, got 1"),
+    ("target,source\n1,2\n3,4,5\n", "3: expected 2 cells, got 3"),
+    ("source,target\n1,2\n3,4\n5,6\n", "1: header must be 'target,source'"),
+    # The source cell is read first, and a filled target needs a source.
+    ("target,source\n1,2\nbad,worse\n", "3: not a number: 'worse'"),
+    ("target,source\n1,2\n3, \n", "3: not a number: ''"),
+    ("", "1: empty file"),
+])
+def test_load_data_file_error_messages(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_data_file(str(path))
+    assert str(info.value) == f"{path}:{message}"
+
+
+def test_load_data_file_too_few_coupled_rows_message(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text("target,source\n1,2\n,3\n4,5\n,6\n")
+    with pytest.raises(ValueError) as info:
+        load_data_file(str(path))
+    assert str(info.value) == f"{path}: needs at least 3 coupled rows, got 2"
+
+
+def test_load_data_file_skip_rule_and_file_order(tmp_path):
+    # A row is skipped when every cell is blank, whatever its cell count;
+    # cells are stripped, and both arrays keep file order.
+    path = tmp_path / "gaps.csv"
+    path.write_text("target, source \n 3 , 0.5\n,,\n , \n\n,7\n1,2\n"
+                    "  \n ,9.25 \n-2,4e-3\n, ,\n")
+    dataset = load_data_file(str(path)).dataset
+    np.testing.assert_array_equal(dataset.paired_target, [3.0, 1.0, -2.0])
+    np.testing.assert_array_equal(dataset.paired_source, [0.5, 2.0, 4e-3])
+    np.testing.assert_array_equal(dataset.extra_source, [7.0, 9.25])
 
 
 def test_csv_round_trip_preserves_estimates(tmp_path, theta5_dataset):
@@ -239,6 +280,23 @@ def test_estimate_explicit_failure_is_fatal(data_path, capsys):
     assert "error: moment:" in captured.err
 
 
+@pytest.mark.parametrize("replication,clipped", [(15, True), (14, False)])
+def test_estimate_reports_clipped_variance(tmp_path, capsys, replication,
+                                           clipped):
+    # In replication 15 of the headline study the plug-in reduction exceeds
+    # the baseline variance of transferred Hill; in 14 it does not.
+    config = load_experiment_config(str(CONFIG_DIR / "headline.cfg"))
+    path = tmp_path / "headline.csv"
+    write_semi_supervised_csv(str(path), generate_dataset(config, replication))
+    assert main(["estimate", "--data", str(path), "--k", "100"]) == 0
+    captured = capsys.readouterr()
+    record = json.loads(captured.out)["estimates"]["transferred_hill"]
+    assert not record["coefficients"]["degenerate"]
+    assert (record["variance_estimate"] == 0.0) == clipped
+    line = "diagnostic: transferred_hill: variance estimate clipped at 0"
+    assert (line in captured.err.splitlines()) == clipped
+
+
 def test_estimate_writes_json_file(tmp_path, data_path):
     out = tmp_path / "est.json"
     assert main(["estimate", "--data", data_path, "--k", "1",
@@ -292,6 +350,38 @@ def test_simulate_writes_report_and_estimates(tmp_path, config_path, capsys):
     rep, method, value = lines[1].split(",")
     assert (int(rep), method) == (0, "hill")
     assert float(value) == expected.estimates["hill"][0]
+
+
+@pytest.mark.parametrize("line,message", [
+    ("theta = nan", "theta must be finite"),
+    ("gamma_t = inf", "gamma_t must be finite"),
+    ("y_m = -inf", "y_m must be finite"),
+    ("gamma_s = nan", "gamma must be finite"),
+])
+def test_simulate_rejects_non_finite_config_before_any_replication(
+        tmp_path, capsys, monkeypatch, line, message):
+    key = line.split(" ")[0]
+    text = "".join(row + "\n" for row in TINY_CONFIG.splitlines()
+                   if not row.startswith(key + " "))
+    path = tmp_path / "bad.cfg"
+    path.write_text(text + line + "\n")
+    monkeypatch.setattr("tailcv.simulate.generate_dataset", mock.Mock(
+        side_effect=AssertionError("a replication ran")))
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "", "1.5", "0"])
+def test_simulate_names_a_bad_workers_variable(tmp_path, config_path, capsys,
+                                                monkeypatch, value):
+    # These used to fail naming neither the variable nor its value.
+    monkeypatch.setenv("TAILCV_WORKERS", value)
+    assert main(["simulate", "--config", config_path,
+                 "--out", str(tmp_path / "runs")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: TAILCV_WORKERS must be a positive integer, got '{value}'\n")
 
 
 def test_simulate_seed_override(tmp_path, config_path):

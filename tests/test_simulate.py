@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from unittest import mock
 
 import numpy as np
@@ -7,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+import tailcv
 from tailcv import (
     EstimationError,
     ExperimentConfig,
@@ -68,6 +73,24 @@ def test_marginal_validation():
         Marginal.pareto(1.0).quantile(1.0)
 
 
+@pytest.mark.parametrize("factory,name", [
+    (lambda value: Marginal.pareto(value), "gamma"),
+    (lambda value: Marginal.pareto(1.0, y_m=value), "y_m"),
+    (lambda value: Marginal.beta(value), "shape_b"),
+    (lambda value: marginal_for_evi(value), "gamma"),
+], ids=["pareto-gamma", "pareto-y_m", "beta-shape_b", "marginal_for_evi"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_marginal_rejects_non_finite_parameters(factory, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        factory(value)
+
+
+def test_marginal_ignores_parameters_its_family_does_not_use():
+    normal = Marginal(family="normal", gamma=float("nan"), shape_b=float("inf"))
+    assert normal.quantile(0.5) == 0.0
+    assert Marginal(family="beta", shape_b=2.0, gamma=float("nan")).evi == -0.5
+
+
 def test_pareto_quantile_cdf_round_trip():
     marginal = Marginal.pareto(0.5, y_m=1e-3)
     u = np.linspace(0.001, 0.999, 97)
@@ -81,6 +104,10 @@ def test_copula_rejects_theta_below_one():
     rng = _stream(0, 0, 0)
     with pytest.raises(ValueError):
         sample_gumbel_copula(0.9, 10, rng)
+    # NaN gave NaN uniforms and infinity a ZeroDivisionError.
+    for theta in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^theta must be finite$"):
+            sample_gumbel_copula(theta, 10, rng)
 
 
 def test_copula_outputs_in_open_interval():
@@ -128,6 +155,18 @@ def test_config_validation(kwargs):
                 source_marginal=Marginal.pareto(1.0))
     base.update(kwargs)
     with pytest.raises(ValueError):
+        ExperimentConfig(**base)
+
+
+@pytest.mark.parametrize("name", ["gamma_t", "theta", "y_m"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_config_rejects_non_finite_parameters(name, value):
+    # NaN passed every comparison here and failed in replication 0 with a
+    # non-finite dataset.
+    base = dict(gamma_t=0.5, theta=2.0, n=100, m=50,
+                source_marginal=Marginal.pareto(1.0))
+    base[name] = value
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
         ExperimentConfig(**base)
 
 
@@ -234,6 +273,50 @@ def test_runner_deterministic_across_reruns(monkeypatch):
                                       parallel.estimates[name])
     assert first.pairs == again.pairs
     assert parallel.to_dict() == first.to_dict()
+
+
+COLD_START = textwrap.dedent('''
+    import sys
+
+    import numpy as np
+
+    def loaded():
+        return sorted(name for name in sys.modules
+                      if name.split(".")[0] in ("scipy", "concurrent"))
+
+    import tailcv.cli
+    from tailcv import ExperimentConfig, Marginal, run_rvr_experiment
+
+    assert loaded() == [], loaded()
+    u = np.linspace(1e-9, 1 - 1e-9, 1001)
+    for marginal in (Marginal.pareto(0.5), Marginal.beta(3.0)):
+        marginal.cdf(marginal.quantile(u))
+    config = ExperimentConfig(gamma_t=0.5, theta=2.0, n=50, m=20,
+                              source_marginal=Marginal.pareto(1.0),
+                              replications=3)
+    run_rvr_experiment(config, workers=1)
+    assert loaded() == [], loaded()
+
+    normal = Marginal.standard_normal()
+    quantile, cdf = normal.quantile(u), normal.cdf(u * 16 - 8)
+    from scipy.special import ndtr, ndtri
+    assert quantile.tobytes() == ndtri(u).tobytes()
+    assert cdf.tobytes() == ndtr(u * 16 - 8).tobytes()
+    print("ok")
+''')
+
+
+def test_cold_start_loads_neither_scipy_nor_the_process_pool():
+    # pytest's own process already holds scipy, so a fresh interpreter
+    # checks what importing the package and a serial Pareto study load.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(tailcv.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")])))
+    env.pop("TAILCV_WORKERS", None)
+    result = subprocess.run([sys.executable, "-c", COLD_START], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ok\n"
 
 
 def test_runner_flags_unstable_configuration():
