@@ -183,13 +183,11 @@ def _shifted_ratio(numerator, numerator_shift, denominator, denominator_shift,
 
 
 def _variance_differences(var_b, var_d, cov_bd, cov_ab, cov_ad, cov_bc, cov_cd,
-                          b, d, mean_c, gamma_hat, n: int, m: int):
+                          mean_c, gamma_hat, n: int, m: int):
     """``SufficientStatistics.variance_difference`` at one l or a block of l.
 
-    The seven covariance entries are scalars with ``b`` and ``d`` the n
-    coupled source columns, or arrays over l with ``b`` and ``d`` the
-    matching rows of those columns. Returns the values and the degenerate
-    flags; a degenerate value is NaN.
+    The seven covariance entries are scalars, or arrays over l. Returns the
+    values and the degenerate flags; a degenerate value is NaN.
     """
     determinant = var_b * var_d - cov_bd * cov_bd
     degenerate = _degenerate(var_b, var_d, cov_bd, determinant)
@@ -197,7 +195,8 @@ def _variance_differences(var_b, var_d, cov_bd, cov_ab, cov_ad, cov_bc, cov_cd,
     determinant = np.where(degenerate, np.nan, determinant)
     s_d = gamma_hat * cov_bc - cov_ab
     s_b = gamma_hat * cov_cd - cov_ad
-    spread = np.var(s_d[..., None] * d - s_b[..., None] * b, axis=-1, ddof=1)
+    # Var(s_d*d - s_b*b) as the quadratic form of the (b, d) covariance block.
+    spread = s_d * s_d * var_d + s_b * s_b * var_b - 2.0 * s_d * s_b * cov_bd
     return m / (n * (n + m)) * spread / (mean_c * mean_c * determinant), degenerate
 
 
@@ -296,14 +295,14 @@ class SufficientStatistics:
 
         Estimates Var(baseline Hill) - Var(transferred Hill) as
 
-            m / (n (n+m)) * Var(s_d * d - s_b * b) / (mean(c)**2 * det)
+            m / (n (n+m)) * spread / (mean(c)**2 * det)
 
-        with s_d = gamma_hat*Cov(b,c) - Cov(a,b), s_b = gamma_hat*Cov(c,d) -
-        Cov(a,d), det = Var(b)Var(d) - Cov(b,d)**2, all moments estimated
-        with n-1 divisors over the n coupled observations. The result can be
-        negative for unstable small-exceedance inputs; callers that need a
-        variance estimate should clip, while threshold scans report negatives
-        as-is.
+        with spread = Var(s_d*d - s_b*b) as the quadratic form s_d**2 Var(d)
+        + s_b**2 Var(b) - 2 s_d s_b Cov(b,d), s_d = gamma_hat*Cov(b,c) -
+        Cov(a,b), s_b = gamma_hat*Cov(c,d) - Cov(a,d) and det = Var(b)Var(d)
+        - Cov(b,d)**2, all with n-1 divisors over the n coupled rows. Where
+        defined, spread >= 0 and det > 0. The variance estimate, baseline
+        minus this, can be negative; threshold scans count those cells.
         """
         cov = self.covariance
         mean_c = self.target.means[2]
@@ -311,7 +310,6 @@ class SufficientStatistics:
             raise EstimationError("no exceedances")
         value, degenerate = _variance_differences(
             *(cov[i, j] for i, j in _PLUGIN_ENTRIES),
-            self.source.excess, self.source.indicator,
             mean_c, gamma_hat, self.n, self.m)
         if degenerate:
             raise EstimationError("degenerate control variate")

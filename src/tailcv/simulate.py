@@ -126,7 +126,7 @@ class Marginal:
     def quantile(self, u):
         """Quantile function at u in (0, 1); accepts arrays."""
         arr = np.asarray(u, dtype=float)
-        if arr.size and (np.min(arr) <= 0.0 or np.max(arr) >= 1.0):
+        if arr.size and not (np.min(arr) > 0.0 and np.max(arr) < 1.0):
             raise ValueError("u must lie strictly inside (0, 1)")
         if self.family == "pareto":
             return self.y_m * (1.0 - arr) ** (-self.gamma)
@@ -290,6 +290,14 @@ class ExperimentConfig:
         return Marginal.pareto(self.gamma_t, self.y_m)
 
 
+def _coupled_pairs(config: ExperimentConfig, replication_index: int) -> tuple:
+    """The n coupled (target, source) values of one replication (role 0)."""
+    rng = _stream(config.seed, replication_index, _ROLE_COUPLED)
+    u_target, u_source = sample_gumbel_copula(config.theta, config.n, rng)
+    return (config.target_marginal.quantile(u_target),
+            config.source_marginal.quantile(u_source))
+
+
 def generate_dataset(config: ExperimentConfig,
                      replication_index: int) -> SemiSupervisedDataset:
     """Generate one replication's dataset, deterministic in (seed, index).
@@ -298,17 +306,11 @@ def generate_dataset(config: ExperimentConfig,
     values use fresh uniforms from the extras stream (role 1) through the
     source marginal.
     """
-    rng_pairs = _stream(config.seed, replication_index, _ROLE_COUPLED)
-    u_target, u_source = sample_gumbel_copula(config.theta, config.n, rng_pairs)
-    target = config.target_marginal.quantile(u_target)
-    source = config.source_marginal.quantile(u_source)
+    extra = np.empty(0)
     if config.m > 0:
         rng_extra = _stream(config.seed, replication_index, _ROLE_EXTRA)
         extra = config.source_marginal.quantile(_open_unit(rng_extra.random(config.m)))
-    else:
-        extra = np.empty(0)
-    return SemiSupervisedDataset(paired_target=target, paired_source=source,
-                                 extra_source=extra)
+    return SemiSupervisedDataset(*_coupled_pairs(config, replication_index), extra)
 
 
 def _nanmean(values) -> float:
@@ -511,20 +513,20 @@ _SCAN_BLOCK_ELEMENTS = 16384
 
 def _scan_replication(config: ExperimentConfig, l_values: tuple,
                       replication_index: int) -> np.ndarray:
+    # No extra source value is drawn: m enters the plug-in only as a count.
     # The target side, the source sort and the log of the coupled source
     # values are shared by every l. A block of l values then builds only
-    # what the plug-in reads: the coupled source log-excess and indicator
-    # rows and seven covariance entries, each summed as moment_statistics
-    # sums it, so every cell has the bits of the public plug-in. m enters
-    # the plug-in only as a count.
-    dataset = generate_dataset(config, replication_index)
+    # the coupled source log-excess and indicator rows and the seven
+    # covariance entries the plug-in reads, each summed as moment_statistics
+    # sums it, so every cell has the bits of the public plug-in.
+    pairs = SemiSupervisedDataset(*_coupled_pairs(config, replication_index))
     out = np.full(len(l_values), np.nan)
     try:
-        target = exceedances(dataset.paired_target, config.k)
+        target = exceedances(pairs.paired_target, config.k)
         baseline = _hill(SufficientStatistics(target))
     except EstimationError:
         return out
-    source = dataset.paired_source
+    source = pairs.paired_source
     n = source.size
     thresholds = order_statistics(source)[n - 1 - np.asarray(l_values)]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -550,7 +552,7 @@ def _scan_replication(config: ExperimentConfig, l_values: tuple,
             np.einsum("lk,k->l", dev_d, dev_a) * scale,
             np.einsum("lk,k->l", dev_b, dev_c) * scale,
             np.einsum("lk,k->l", dev_d, dev_c) * scale,
-            b, d, target.means[2], baseline.value, n, dataset.m)
+            target.means[2], baseline.value, n, config.m)
         out[rows] = baseline.variance_estimate - differences
     return out
 

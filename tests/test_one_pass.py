@@ -137,7 +137,17 @@ def ref_corrected(num, num_all, den, den_all, alpha, beta):
     return float(numerator / denominator)
 
 
-def ref_plugin(v, gamma):
+def quadratic_spread(cov, s_d, s_b, b, d):
+    """Var(s_d*d - s_b*b) from the (b, d) block of the (a, b, c, d) covariance."""
+    return s_d * s_d * cov[3, 3] + s_b * s_b * cov[1, 1] - 2.0 * s_d * s_b * cov[1, 3]
+
+
+def sample_spread(cov, s_d, s_b, b, d):
+    """Var(s_d*d - s_b*b) by its definition, over the n coupled rows."""
+    return float(np.var(s_d * d - s_b * b, ddof=1))
+
+
+def ref_plugin(v, gamma, spread=quadratic_spread):
     n, m = v.n, v.m
     b, d = v.b[:n], v.d[:n]
     mean_c = v.c.mean()
@@ -149,8 +159,8 @@ def ref_plugin(v, gamma):
         raise EstimationError("degenerate control variate")
     s_d = gamma * cov[1, 2] - cov[0, 1]
     s_b = gamma * cov[2, 3] - cov[0, 3]
-    spread = float(np.var(s_d * d - s_b * b, ddof=1))
-    return float(m / (n * (n + m)) * spread / (mean_c * mean_c * determinant))
+    return float(m / (n * (n + m)) * spread(cov, s_d, s_b, b, d)
+                 / (mean_c * mean_c * determinant))
 
 
 def ref_transferred_hill(v):
@@ -362,6 +372,33 @@ def test_variable_readers_equal_separate_calls(case, gamma):
                   lambda: ref_cv_correlations(v)[1])
     for reader, reference in zip(readers, references):
         assert outcome(reader) == outcome(reference)
+
+
+@given(datasets(), st.floats(min_value=-5.0, max_value=5.0))
+def test_plug_in_spread_is_the_variance_of_the_combination(case, gamma):
+    # The plug-in reads the spread from three covariance entries; by its
+    # definition it is the sample variance of s_d*d - s_b*b.
+    dataset, k, k_source = case
+    stats = SufficientStatistics.of(dataset, k, k_source)
+    try:
+        value = stats.variance_difference(gamma)
+    except EstimationError:
+        return
+    assert value >= 0.0
+    expected = ref_plugin(ref_variables(dataset, k, k_source), gamma, sample_spread)
+    assert math.isclose(value, expected, rel_tol=1e-6)
+
+
+def test_plug_in_spread_on_theta5_replications(theta5_config):
+    k = theta5_config.k
+    for index in range(100):
+        dataset = generate_dataset(theta5_config, index)
+        gamma = hill(dataset.paired_target, k).value
+        for l in (20, 60, 100, 140, 400):
+            value = SufficientStatistics.of(dataset, k, l).variance_difference(gamma)
+            expected = ref_plugin(ref_variables(dataset, k, l), gamma, sample_spread)
+            assert value > 0.0
+            assert math.isclose(value, expected, rel_tol=1e-12), (index, l)
 
 
 @given(datasets())

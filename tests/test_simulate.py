@@ -28,7 +28,7 @@ from tailcv import (
     build_cv_variables,
     variance_difference_plugin,
 )
-from tailcv.simulate import _ROLE_EXTRA, _scan_replication, _stream
+from tailcv.simulate import _ROLE_COUPLED, _ROLE_EXTRA, _scan_replication, _stream
 
 
 # ---------------------------------------------------------------- marginals
@@ -46,6 +46,15 @@ def test_normal_quantile_values():
     normal = Marginal.standard_normal()
     assert normal.quantile(0.5) == 0.0
     assert abs(normal.quantile(0.975) - 1.959963984540054) < 1e-9
+
+
+@pytest.mark.parametrize("marginal", [Marginal.pareto(0.5),
+                                      Marginal.standard_normal(),
+                                      Marginal.beta(2.0)])
+def test_quantile_rejects_nan_uniforms(marginal):
+    for u in (np.array([0.5, np.nan]), np.array([np.nan, 0.5]), np.nan):
+        with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
+            marginal.quantile(u)
 
 
 def test_marginal_evi():
@@ -449,10 +458,47 @@ def test_scan_cells_equal_the_public_plug_in(case):
                               source_marginal=Marginal.pareto(1.0), k=k,
                               replications=1)
     l_values = tuple(range(1, dataset.n))
-    with mock.patch("tailcv.simulate.generate_dataset", return_value=dataset):
+    with mock.patch("tailcv.simulate._coupled_pairs",
+                    return_value=(dataset.paired_target, dataset.paired_source)):
         cells = _scan_replication(config, l_values, 0)
     assert cell_bits(cells) == cell_bits(
         [public_scan_cell(dataset, k, l) for l in l_values])
+
+
+def test_scan_draws_only_the_coupled_pairs():
+    config = ExperimentConfig(gamma_t=0.25, theta=5.0, n=1000, m=5000, k=100,
+                              source_marginal=Marginal.pareto(0.5),
+                              replications=4, seed=11)
+    l_values = (20, 60, 100, 140, 400)
+    roles = []
+
+    def stream(seed, index, role):
+        roles.append(role)
+        return _stream(seed, index, role)
+
+    with mock.patch("tailcv.simulate._stream", stream):
+        source_threshold_scan(config, l_values, workers=1)
+        rows = [_scan_replication(config, l_values, index)
+                for index in range(config.replications)]
+    assert roles == [_ROLE_COUPLED] * (2 * config.replications)
+    for index, row in enumerate(rows):
+        dataset = generate_dataset(config, index)
+        assert dataset.m == config.m
+        assert cell_bits(row) == cell_bits(
+            [public_scan_cell(dataset, config.k, l) for l in l_values])
+
+
+def test_scan_rejects_a_non_finite_coupled_value_as_generate_dataset_does():
+    # The largest targets overflow the Pareto quantile at this index.
+    config = ExperimentConfig(gamma_t=200.0, theta=2.0, n=200, m=50, k=20,
+                              source_marginal=Marginal.pareto(0.5),
+                              replications=2)
+    message = "paired_target contains non-finite entries"
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match=message):
+            generate_dataset(config, 0)
+        with pytest.raises(ValueError, match=message):
+            source_threshold_scan(config, [20], workers=1)
 
 
 def test_scan_summaries_mix_finite_and_failed_cells():
