@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -126,13 +127,9 @@ def _fmt(value: float) -> str:
 
 def write_semi_supervised_csv(path: str, dataset: SemiSupervisedDataset) -> None:
     """Write a dataset in the target,source format that load_data_file reads."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_HEADER)
-        for target, source in zip(dataset.paired_target, dataset.paired_source):
-            writer.writerow([_fmt(target), _fmt(source)])
-        for source in dataset.extra_source:
-            writer.writerow(["", _fmt(source)])
+    pairs = zip(map(_fmt, dataset.paired_target), map(_fmt, dataset.paired_source))
+    extras = (("", _fmt(source)) for source in dataset.extra_source)
+    _write_csv(path, _HEADER, itertools.chain(pairs, extras))
 
 
 _CONFIG_TYPES = {
@@ -290,7 +287,7 @@ def _load_config_with_overrides(args) -> ExperimentConfig:
     return config
 
 
-def _write_csv(path: str | None, header: list, rows: list) -> None:
+def _write_csv(path: str | None, header, rows) -> None:
     def render(out):
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)

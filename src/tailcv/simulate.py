@@ -13,6 +13,7 @@ can run in any order or in parallel with bit-identical results.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from functools import partial
@@ -232,10 +233,25 @@ def _normalize_estimators(estimators) -> tuple[Method, ...]:
     return tuple(methods)
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; a float, a string or any other non-integer is rejected."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+
+
+def _seed(value) -> int:
+    seed = _integer(value, "seed")
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must be a 64-bit unsigned integer")
+    return seed
+
+
 def _validated_k(k, k_source, n: int) -> tuple[int, int]:
     """k and k_source (k when None) as ints, each of which must be in 1..n-1."""
-    k = int(k)
-    k_source = k if k_source is None else int(k_source)
+    k = _integer(k, "k")
+    k_source = k if k_source is None else _integer(k_source, "k_source")
     if not 1 <= k <= n - 1 or not 1 <= k_source <= n - 1:
         raise ValueError("invalid k")
     return k, k_source
@@ -264,6 +280,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_finite(self, ("gamma_t", "theta", "y_m"))
+        for name in ("n", "m", "replications"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        object.__setattr__(self, "seed", _seed(self.seed))
         if self.gamma_t <= 0:
             raise ValueError("gamma_t must be positive")
         if self.theta < 1.0:
@@ -276,8 +295,6 @@ class ExperimentConfig:
             raise ValueError("y_m must be positive")
         if self.replications < 1:
             raise ValueError("replications must be positive")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
         k, k_source = _validated_k(round(0.1 * self.n) if self.k is None else self.k,
                                    self.k_source, self.n)
         object.__setattr__(self, "k", k)
@@ -313,20 +330,14 @@ def generate_dataset(config: ExperimentConfig,
     return SemiSupervisedDataset(*_coupled_pairs(config, replication_index), extra)
 
 
-def _nanmean(values) -> float:
-    arr = np.asarray(values, dtype=float)
-    mask = np.isfinite(arr)
-    if not mask.any():
-        return float("nan")
-    return float(arr[mask].mean())
+def _nanmean(values: np.ndarray) -> float:
+    finite = values[np.isfinite(values)]
+    return float(finite.mean()) if finite.size else float("nan")
 
 
-def _nanvar(values) -> float:
-    arr = np.asarray(values, dtype=float)
-    finite = arr[np.isfinite(arr)]
-    if finite.size < 2:
-        return float("nan")
-    return float(np.var(finite, ddof=1))
+def _nanvar(values: np.ndarray) -> float:
+    finite = values[np.isfinite(values)]
+    return float(np.var(finite, ddof=1)) if finite.size >= 2 else float("nan")
 
 
 def _run_replication(config: ExperimentConfig, replication_index: int) -> dict:
@@ -379,6 +390,18 @@ def _map_replications(func, count: int, workers: int | None) -> list:
     chunksize = max(1, count // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, range(count), chunksize=chunksize))
+
+
+def _columns(records, names=None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-index records as one row per column, and each column's failures.
+
+    A record is an array, or a dict read at ``names``. A failure is a value
+    that is not finite, which is how a record marks a failed estimate.
+    """
+    if names is not None:
+        records = [[record[name] for name in names] for record in records]
+    columns = np.array(records, dtype=float).T.copy()
+    return columns, np.count_nonzero(~np.isfinite(columns), axis=1)
 
 
 @dataclass(frozen=True)
@@ -452,14 +475,11 @@ def run_rvr_experiment(config: ExperimentConfig,
         raise ValueError("need at least 2 replications")
     records = _map_replications(partial(_run_replication, config),
                                 config.replications, workers)
-    estimates = {
-        method.value: np.array([rec[method.value] for rec in records])
-        for method in config.estimators
-    }
+    names = [method.value for method in config.estimators]
+    columns, failed = _columns(records, names + list(_DIAGNOSTICS))
+    estimates = dict(zip(names, columns))
     summaries = {}
-    for method in config.estimators:
-        values = estimates[method.value]
-        failures = int(np.count_nonzero(~np.isfinite(values)))
+    for method, values, failures in zip(config.estimators, columns, failed.tolist()):
         if failures > 0.1 * config.replications:
             raise EstimationError(
                 f"unstable configuration: {method.value} failed in "
@@ -481,8 +501,8 @@ def run_rvr_experiment(config: ExperimentConfig,
                 variance_baseline=variance_baseline,
                 variance_transferred=variance_transferred, rvr=float(rvr),
             ))
-    diagnostics = {key: _nanmean([rec[key] for rec in records])
-                   for key in _DIAGNOSTICS}
+    diagnostics = {key: _nanmean(values)
+                   for key, values in zip(_DIAGNOSTICS, columns[len(names):])}
     return RvrReport(
         config=config, replications=config.replications, estimates=estimates,
         summaries=summaries, pairs=tuple(pairs), dependence=_report(diagnostics),
@@ -579,20 +599,18 @@ def source_threshold_scan(config: ExperimentConfig, l_values,
         raise ValueError("l_values must be non-empty")
     if any(not 1 <= l <= config.n - 1 for l in l_tuple):
         raise EstimationError("invalid k")
-    rows = _map_replications(partial(_scan_replication, config, l_tuple),
-                             config.replications, workers)
-    matrix = np.vstack(rows)
-    finite = np.isfinite(matrix)
+    columns, failed = _columns(_map_replications(
+        partial(_scan_replication, config, l_tuple), config.replications, workers))
+    finite = np.isfinite(columns)
     # One call for the columns without failed cells; any other column takes
     # the percentile of its finite cells alone.
     quartiles = np.full((3, len(l_tuple)), np.nan)
-    whole = finite.all(axis=0)
+    whole = failed == 0
     if whole.any():
-        quartiles[:, whole] = np.percentile(matrix[:, whole], _QUARTILES, axis=0)
-    for j in np.flatnonzero(~whole & finite.any(axis=0)):
-        quartiles[:, j] = np.percentile(matrix[finite[:, j], j], _QUARTILES)
-    negative = np.count_nonzero(finite & (matrix < 0), axis=0)
-    failed = np.count_nonzero(~finite, axis=0)
+        quartiles[:, whole] = np.percentile(columns[whole], _QUARTILES, axis=1)
+    for j in np.flatnonzero(~whole & finite.any(axis=1)):
+        quartiles[:, j] = np.percentile(columns[j, finite[j]], _QUARTILES)
+    negative = np.count_nonzero(finite & (columns < 0), axis=1)
     return tuple(
         ThresholdScanPoint(l=l, median=float(quartiles[1, j]),
                            q1=float(quartiles[0, j]), q3=float(quartiles[2, j]),
@@ -619,6 +637,24 @@ class BootstrapResult:
         return values[np.isfinite(values)]
 
 
+def _resample_values(dataset: SemiSupervisedDataset, n_sub: int, k: int,
+                     k_source: int, methods, with_replacement: bool, seed: int,
+                     index: int) -> dict:
+    """Estimates of one bootstrap resample by name, NaN where one fails."""
+    rng = _stream(seed, index, _ROLE_BOOTSTRAP)
+    if with_replacement:
+        chosen = rng.integers(0, dataset.n, size=n_sub)
+        rest = np.setdiff1d(np.arange(dataset.n), chosen)
+    else:
+        permutation = rng.permutation(dataset.n)
+        chosen, rest = permutation[:n_sub], permutation[n_sub:]
+    subsample = SemiSupervisedDataset(
+        dataset.paired_target[chosen], dataset.paired_source[chosen],
+        np.concatenate([dataset.paired_source[rest], dataset.extra_source]))
+    return _estimate_values(SufficientStatistics.of(subsample, k, k_source),
+                            methods)
+
+
 def bootstrap_study(dataset: SemiSupervisedDataset, n_sub: int, resamples: int,
                     k: int, estimators=DEFAULT_ESTIMATORS, seed: int = 0,
                     k_source: int | None = None,
@@ -629,7 +665,8 @@ def bootstrap_study(dataset: SemiSupervisedDataset, n_sub: int, resamples: int,
     rows (without replacement by default; a subsample) to form the coupled
     set; the source values of the remaining pairs, plus any pre-existing
     extra_source rows, become the unpaired extras. Estimator failures are
-    excluded from the value sequences and counted.
+    excluded from the value sequences and counted. Resamples run in
+    TAILCV_WORKERS processes (default 1), with the same values at any count.
 
     Parameters
     ----------
@@ -650,37 +687,22 @@ def bootstrap_study(dataset: SemiSupervisedDataset, n_sub: int, resamples: int,
         Draw the coupled set with replacement instead of subsampling.
     """
     methods = _normalize_estimators(estimators)
-    pool = dataset.n
-    if n_sub > pool:
+    n_sub, resamples = _integer(n_sub, "n_sub"), _integer(resamples, "resamples")
+    seed = _seed(seed)
+    if n_sub > dataset.n:
         raise ValueError("n_sub exceeds the coupled pool size")
     if n_sub < 3:
         raise ValueError("n_sub must be at least 3")
     if resamples < 1:
         raise ValueError("resamples must be positive")
     # Every resample has n_sub coupled rows, so k is valid in all or none.
-    _validated_k(k, k_source, n_sub)
-    estimates = {method.value: np.full(resamples, np.nan) for method in methods}
-    for index in range(resamples):
-        rng = _stream(seed, index, _ROLE_BOOTSTRAP)
-        if with_replacement:
-            chosen = rng.integers(0, pool, size=n_sub)
-            rest = np.setdiff1d(np.arange(pool), chosen)
-        else:
-            permutation = rng.permutation(pool)
-            chosen, rest = permutation[:n_sub], permutation[n_sub:]
-        subsample = SemiSupervisedDataset(
-            paired_target=dataset.paired_target[chosen],
-            paired_source=dataset.paired_source[chosen],
-            extra_source=np.concatenate([dataset.paired_source[rest],
-                                         dataset.extra_source]),
-        )
-        stats = SufficientStatistics.of(subsample, k, k_source)
-        for name, value in _estimate_values(stats, methods).items():
-            estimates[name][index] = value
-    failures = {
-        name: int(np.count_nonzero(~np.isfinite(values)))
-        for name, values in estimates.items()
-    }
-    return BootstrapResult(estimates=estimates, failures=failures,
-                           n_sub=int(n_sub), resamples=int(resamples),
+    k, k_source = _validated_k(k, k_source, n_sub)
+    records = _map_replications(
+        partial(_resample_values, dataset, n_sub, k, k_source, methods,
+                with_replacement, seed), resamples, None)
+    names = [method.value for method in methods]
+    columns, failed = _columns(records, names)
+    return BootstrapResult(estimates=dict(zip(names, columns)),
+                           failures=dict(zip(names, failed.tolist())),
+                           n_sub=n_sub, resamples=resamples,
                            with_replacement=bool(with_replacement))

@@ -502,6 +502,17 @@ def test_bootstrap_table(tmp_path, capsys):
     assert "diagnostic: moment: 5 failed resamples" in captured.err
 
 
+def test_bootstrap_rejects_a_negative_seed_with_the_config_message(
+        data_path, capsys, monkeypatch):
+    # This used to fail in resample 0 with numpy's own message.
+    monkeypatch.setattr("tailcv.simulate._stream", mock.Mock(
+        side_effect=AssertionError("a resample ran")))
+    assert main(["bootstrap", "--data", data_path, "--n-sub", "3",
+                 "--resamples", "5", "--k", "1", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: seed must be a 64-bit unsigned integer\n")
+
+
 # ------------------------------------------------------------ exit codes
 
 def test_unknown_flag_exits_two(capsys):

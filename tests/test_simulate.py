@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -304,6 +305,8 @@ COLD_START = textwrap.dedent('''
                               source_marginal=Marginal.pareto(1.0),
                               replications=3)
     run_rvr_experiment(config, workers=1)
+    from tailcv import bootstrap_study, generate_dataset
+    bootstrap_study(generate_dataset(config, 0), n_sub=30, resamples=3, k=3)
     assert loaded() == [], loaded()
 
     normal = Marginal.standard_normal()
@@ -317,7 +320,8 @@ COLD_START = textwrap.dedent('''
 
 def test_cold_start_loads_neither_scipy_nor_the_process_pool():
     # pytest's own process already holds scipy, so a fresh interpreter
-    # checks what importing the package and a serial Pareto study load.
+    # checks what importing the package and a serial Pareto study and
+    # bootstrap load.
     root = os.path.dirname(os.path.dirname(os.path.abspath(tailcv.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [root, os.environ.get("PYTHONPATH")])))
@@ -535,14 +539,23 @@ def bootstrap_pool():
     return generate_dataset(config, 0)
 
 
-def test_bootstrap_deterministic(bootstrap_pool):
-    first = bootstrap_study(bootstrap_pool, n_sub=500, resamples=20, k=50,
-                            seed=3)
-    again = bootstrap_study(bootstrap_pool, n_sub=500, resamples=20, k=50,
-                            seed=3)
-    for name in first.estimates:
-        np.testing.assert_array_equal(first.estimates[name],
-                                      again.estimates[name])
+def test_bootstrap_deterministic(bootstrap_pool, monkeypatch):
+    # Resamples are keyed by (seed, index, role), so neither a rerun nor the
+    # worker count (TAILCV_WORKERS, as for the other studies) moves a bit.
+    monkeypatch.delenv("TAILCV_WORKERS", raising=False)
+    for with_replacement in (False, True):
+        study = partial(bootstrap_study, bootstrap_pool, n_sub=500,
+                        resamples=20, k=50, seed=3,
+                        with_replacement=with_replacement)
+        first, again = study(), study()
+        monkeypatch.setenv("TAILCV_WORKERS", "2")
+        parallel = study()
+        monkeypatch.delenv("TAILCV_WORKERS")
+        for other in (again, parallel):
+            assert other.estimates.keys() == first.estimates.keys()
+            for name, values in first.estimates.items():
+                assert other.estimates[name].tobytes() == values.tobytes()
+            assert other.failures == first.failures
 
 
 def test_bootstrap_full_pool_single_resample(bootstrap_pool):
@@ -560,7 +573,7 @@ def test_bootstrap_variance_reduction(bootstrap_pool):
     assert var_transferred < var_hill
 
 
-def test_bootstrap_validation(bootstrap_pool):
+def test_bootstrap_validation(bootstrap_pool, monkeypatch):
     with pytest.raises(ValueError):
         bootstrap_study(bootstrap_pool, n_sub=bootstrap_pool.n + 1,
                         resamples=5, k=10)
@@ -575,6 +588,46 @@ def test_bootstrap_validation(bootstrap_pool):
         with pytest.raises(ValueError, match="invalid k"):
             bootstrap_study(bootstrap_pool, n_sub=100, resamples=5, k=k,
                             k_source=k_source)
+    # Resamples follow the worker rule of the other studies.
+    monkeypatch.setenv("TAILCV_WORKERS", "0")
+    with pytest.raises(ValueError, match="^TAILCV_WORKERS must be a positive"):
+        bootstrap_study(bootstrap_pool, n_sub=100, resamples=5, k=10)
+
+
+@pytest.mark.parametrize("study,kwargs,message", [
+    ("config", dict(seed=1.5), "seed must be an integer"),
+    ("config", dict(seed=2.0), "seed must be an integer"),
+    ("config", dict(seed="3"), "seed must be an integer"),
+    ("config", dict(seed=2 ** 64), "seed must be a 64-bit unsigned integer"),
+    ("config", dict(n=50.0), "n must be an integer"),
+    ("config", dict(m=10.0), "m must be an integer"),
+    ("config", dict(replications=2.0), "replications must be an integer"),
+    ("config", dict(k=5.0), "k must be an integer"),
+    ("config", dict(k_source=5.5), "k_source must be an integer"),
+    ("bootstrap", dict(seed=-1), "seed must be a 64-bit unsigned integer"),
+    ("bootstrap", dict(seed=2 ** 64), "seed must be a 64-bit unsigned integer"),
+    ("bootstrap", dict(seed=1.5), "seed must be an integer"),
+    ("bootstrap", dict(n_sub=100.0), "n_sub must be an integer"),
+    ("bootstrap", dict(resamples=2.5), "resamples must be an integer"),
+    ("bootstrap", dict(k=10.0), "k must be an integer"),
+    ("bootstrap", dict(k_source=5.5), "k_source must be an integer"),
+])
+def test_integer_inputs_are_checked_before_any_draw(bootstrap_pool, study,
+                                                    kwargs, message):
+    # These used to fail inside replication or resample 0 with numpy's
+    # message, or (k_source=5.5) to be truncated without a word.
+    stream = mock.Mock(side_effect=AssertionError("a stream was drawn"))
+    with mock.patch("tailcv.simulate._stream", stream):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            if study == "config":
+                base = dict(gamma_t=0.5, theta=2.0, n=50, m=10, k=5,
+                            source_marginal=Marginal.pareto(1.0),
+                            replications=2)
+                run_rvr_experiment(ExperimentConfig(**{**base, **kwargs}))
+            else:
+                base = dict(n_sub=100, resamples=2, k=10)
+                bootstrap_study(bootstrap_pool, **{**base, **kwargs})
+    stream.assert_not_called()
 
 
 def test_bootstrap_with_replacement_smoke(bootstrap_pool):
