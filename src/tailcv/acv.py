@@ -18,6 +18,7 @@ from .core import (
     EstimationError,
     Exceedances,
     SemiSupervisedDataset,
+    _integer,
     _order_statistic,
     exceedances,
     order_statistics,
@@ -85,14 +86,20 @@ def moment_statistics(*sequences) -> MomentStatistics:
         raise ValueError("sequences must have equal length")
     if count < 2:
         raise ValueError("need at least 2 observations")
-    # np.cov's steps, but each entry sums the products of its own two rows
-    # without BLAS, so it has the same bits in any matrix and on any kernel.
     stacked = np.array(arrays)
     means = stacked.mean(axis=1)
     deviations = stacked - means[:, None]
-    covariance = np.einsum("ik,jk->ij", deviations, deviations)
-    covariance *= np.true_divide(1, count - 1)
+    covariance = _covariance(deviations[:, None], deviations[None])
     return MomentStatistics(means=means, covariance=covariance, count=count)
+
+
+def _covariance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Covariance entries (n-1 divisor) of centred rows, broadcast over leading axes.
+
+    Each entry sums the products of its own two rows without BLAS, so it has
+    the same bits alone, in a block over l or in a matrix, on any kernel.
+    """
+    return np.einsum("...k,...k->...", x, y) * (1 / (x.shape[-1] - 1))
 
 
 def cv_coefficient(a, b) -> float:
@@ -253,15 +260,15 @@ class SufficientStatistics:
     @classmethod
     def of(cls, dataset: SemiSupervisedDataset, k: int,
            k_source: int | None = None) -> "SufficientStatistics":
-        """Build from a dataset; raises EstimationError only for an invalid k."""
+        """Build from a dataset; raises for an invalid k or a non-integer k_source."""
         target = exceedances(dataset.paired_target, k)
+        k_source = target.k if k_source is None else _integer(k_source, "k_source")
         ordered = order_statistics(dataset.paired_source)
-        above = dataset.paired_source > _order_statistic(ordered, k)
+        above = dataset.paired_source > _order_statistic(ordered, target.k)
         lambda_hat = float(np.count_nonzero(np.logical_and(target.indicator, above))
-                           / int(k))
+                           / target.k)
         try:
-            source = exceedances(dataset.paired_source,
-                                 k if k_source is None else k_source,
+            source = exceedances(dataset.paired_source, k_source,
                                  extra=dataset.extra_source, ordered=ordered)
         except EstimationError as error:
             return cls(target, None, dataset.m, lambda_hat, str(error))

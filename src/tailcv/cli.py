@@ -369,8 +369,8 @@ def _cmd_rvr_sweep(args) -> int:
 def _cmd_hill_plot(args) -> int:
     dataset = load_data_file(args.data).dataset
     series = hill_plot(dataset.paired_target, args.k_min, args.k_max, args.step)
-    rows = [[int(k), _fmt(estimate)]
-            for k, estimate in zip(series.k_values, series.estimates)]
+    rows = [[k, _fmt(estimate)]
+            for k, estimate in zip(series.k_values.tolist(), series.estimates)]
     _write_csv(args.out, ["k", "estimate"], rows)
     return 0
 

@@ -9,6 +9,7 @@ threshold, the (n-k)-th ascending order statistic, with strict exceedance.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cached_property
@@ -168,12 +169,25 @@ def order_statistics(sample) -> np.ndarray:
     return np.sort(arr)
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; a float, a string or any other non-integer is rejected."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+
+
+def _valid_k(k, n: int, name: str = "k") -> int:
+    """The one rule for every k and l of n values: an integer in 1..n - 1."""
+    k = _integer(k, name)
+    if not 1 <= k <= n - 1:
+        raise EstimationError("invalid k")
+    return k
+
+
 def _order_statistic(ordered: np.ndarray, k: int) -> float:
     """The (n-k)-th entry of an ascending array, with 1 <= k <= n - 1."""
-    n = ordered.size
-    if not 1 <= int(k) <= n - 1:
-        raise EstimationError("invalid k")
-    return float(ordered[n - int(k) - 1])
+    return float(ordered[ordered.size - _valid_k(k, ordered.size) - 1])
 
 
 def threshold_at(sample, k: int) -> float:
@@ -269,9 +283,10 @@ def exceedances(coupled, k: int, extra=(),
     coupled = np.asarray(coupled, dtype=float)
     if ordered is None:
         ordered = order_statistics(coupled)
+    k = _valid_k(k, ordered.size)
     threshold = _order_statistic(ordered, k)
     if threshold <= 0:
-        return Exceedances(k=int(k), threshold=threshold,
+        return Exceedances(k=k, threshold=threshold,
                            indicator=(coupled > threshold).astype(float))
     excess, indicator = log_excess_indicators(coupled, threshold)
     sums = None
@@ -281,7 +296,7 @@ def exceedances(coupled, k: int, extra=(),
         log_excess = np.log(above) - np.log(threshold)
         sums = (extra.size, np.add.reduce(log_excess),
                 np.add.reduce(log_excess * log_excess), above.size)
-    return Exceedances(k=int(k), threshold=threshold, indicator=indicator,
+    return Exceedances(k=k, threshold=threshold, indicator=indicator,
                        excess=excess, square=excess * excess, extra=sums)
 
 

@@ -74,7 +74,7 @@ def tail_dependence(paired_target, paired_source, k: int) -> float:
     target_threshold = threshold_at(target, k)
     source_threshold = threshold_at(source, k)
     joint = (target > target_threshold) & (source > source_threshold)
-    return float(joint.sum() / int(k))
+    return float(joint.sum() / k)
 
 
 def cv_correlations(stats: SufficientStatistics) -> tuple[float, float]:

@@ -19,6 +19,8 @@ from .core import (
     EviEstimate,
     Exceedances,
     Method,
+    _integer,
+    _valid_k,
     exceedances,
     order_statistics,
 )
@@ -140,19 +142,15 @@ def hill_plot(sample, k_min: int, k_max: int, step: int = 1) -> HillPlotSeries:
     no strict exceedances) are recorded as NaN rather than aborting the series.
     """
     arr = np.asarray(sample, dtype=float)
-    n = arr.size
-    if step < 1:
+    if _integer(step, "step") < 1:
         raise ValueError("step must be positive")
-    if not 1 <= k_min <= k_max <= n - 1:
-        raise EstimationError("invalid k")
-    k_values = np.arange(int(k_min), int(k_max) + 1, int(step))
-    if k_values.size == 0:
-        raise ValueError("empty k range")
+    k_values = np.arange(_valid_k(k_min, arr.size, "k_min"),
+                         _valid_k(k_max, arr.size, "k_max") + 1, step)
     ordered = order_statistics(arr)
     estimates = np.empty(k_values.size)
     for i, k in enumerate(k_values):
         try:
-            side = exceedances(arr, int(k), ordered=ordered)
+            side = exceedances(arr, k, ordered=ordered)
             estimates[i] = _hill(SufficientStatistics(side)).value
         except EstimationError:
             estimates[i] = np.nan

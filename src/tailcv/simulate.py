@@ -13,19 +13,20 @@ can run in any order or in parallel with bit-identical results.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .acv import SufficientStatistics, _variance_differences
+from .acv import SufficientStatistics, _covariance, _variance_differences
 from .core import (
     EstimationError,
     Method,
     SemiSupervisedDataset,
+    _integer,
     _json_fields,
+    _valid_k,
     exceedances,
     order_statistics,
 )
@@ -147,12 +148,8 @@ class Marginal:
         return 1.0 - (1.0 - arr) ** self.shape_b
 
     def to_dict(self) -> dict:
-        out = {"family": self.family}
-        if self.family == "pareto":
-            out.update(gamma=self.gamma, y_m=self.y_m)
-        elif self.family == "beta":
-            out.update(shape_b=self.shape_b)
-        return out
+        names = _FAMILY_PARAMETERS[self.family]
+        return {"family": self.family, **{name: getattr(self, name) for name in names}}
 
 
 def marginal_for_evi(gamma: float, y_m: float = 1e-3) -> Marginal:
@@ -233,14 +230,6 @@ def _normalize_estimators(estimators) -> tuple[Method, ...]:
     return tuple(methods)
 
 
-def _integer(value, name: str) -> int:
-    """value as an int; a float, a string or any other non-integer is rejected."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer") from None
-
-
 def _seed(value) -> int:
     seed = _integer(value, "seed")
     if not 0 <= seed < 2 ** 64:
@@ -249,12 +238,10 @@ def _seed(value) -> int:
 
 
 def _validated_k(k, k_source, n: int) -> tuple[int, int]:
-    """k and k_source (k when None) as ints, each of which must be in 1..n-1."""
+    """k and k_source (k when None), both checked as integers before either range."""
     k = _integer(k, "k")
     k_source = k if k_source is None else _integer(k_source, "k_source")
-    if not 1 <= k <= n - 1 or not 1 <= k_source <= n - 1:
-        raise ValueError("invalid k")
-    return k, k_source
+    return _valid_k(k, n), _valid_k(k_source, n)
 
 
 @dataclass(frozen=True)
@@ -537,8 +524,7 @@ def _scan_replication(config: ExperimentConfig, l_values: tuple,
     # The target side, the source sort and the log of the coupled source
     # values are shared by every l. A block of l values then builds only
     # the coupled source log-excess and indicator rows and the seven
-    # covariance entries the plug-in reads, each summed as moment_statistics
-    # sums it, so every cell has the bits of the public plug-in.
+    # covariance entries the plug-in reads.
     pairs = SemiSupervisedDataset(*_coupled_pairs(config, replication_index))
     out = np.full(len(l_values), np.nan)
     try:
@@ -553,7 +539,6 @@ def _scan_replication(config: ExperimentConfig, l_values: tuple,
         log_source = np.log(source)  # read only above a positive threshold
     dev_a = target.excess - target.means[0]
     dev_c = target.indicator - target.means[2]
-    scale = np.true_divide(1, n - 1)
     positive = np.flatnonzero(thresholds > 0)
     step = max(1, _SCAN_BLOCK_ELEMENTS // n)
     for start in range(0, positive.size, step):
@@ -565,14 +550,10 @@ def _scan_replication(config: ExperimentConfig, l_values: tuple,
         dev_b = b - b.mean(axis=1)[:, None]
         dev_d = d - d.mean(axis=1)[:, None]
         differences, _ = _variance_differences(
-            np.einsum("lk,lk->l", dev_b, dev_b) * scale,
-            np.einsum("lk,lk->l", dev_d, dev_d) * scale,
-            np.einsum("lk,lk->l", dev_b, dev_d) * scale,
-            np.einsum("lk,k->l", dev_b, dev_a) * scale,
-            np.einsum("lk,k->l", dev_d, dev_a) * scale,
-            np.einsum("lk,k->l", dev_b, dev_c) * scale,
-            np.einsum("lk,k->l", dev_d, dev_c) * scale,
-            target.means[2], baseline.value, n, config.m)
+            _covariance(dev_b, dev_b), _covariance(dev_d, dev_d),
+            _covariance(dev_b, dev_d), _covariance(dev_b, dev_a),
+            _covariance(dev_d, dev_a), _covariance(dev_b, dev_c),
+            _covariance(dev_d, dev_c), target.means[2], baseline.value, n, config.m)
         out[rows] = baseline.variance_estimate - differences
     return out
 
@@ -594,11 +575,9 @@ def source_threshold_scan(config: ExperimentConfig, l_values,
     -------
     tuple of ThresholdScanPoint, one per l in input order.
     """
-    l_tuple = tuple(int(l) for l in l_values)
+    l_tuple = tuple(_valid_k(l, config.n, "l") for l in l_values)
     if not l_tuple:
         raise ValueError("l_values must be non-empty")
-    if any(not 1 <= l <= config.n - 1 for l in l_tuple):
-        raise EstimationError("invalid k")
     columns, failed = _columns(_map_replications(
         partial(_scan_replication, config, l_tuple), config.replications, workers))
     finite = np.isfinite(columns)

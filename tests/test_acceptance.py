@@ -19,20 +19,17 @@ from tailcv import (
     AcvCoefficients,
     ExperimentConfig,
     Method,
-    acv_ratio_coefficients,
-    corrected_ratio,
+    SemiSupervisedDataset,
+    SufficientStatistics,
     cv_coefficient,
-    exceedances,
     generate_dataset,
     hill,
-    log_excess_indicators,
     marginal_for_evi,
     moment,
     run_rvr_experiment,
     sample_gumbel_copula,
     source_threshold_scan,
     tail_dependence,
-    threshold_at,
     transferred_hill,
     transferred_moment,
 )
@@ -209,24 +206,20 @@ def test_criterion_09_hand_oracles(tiny_dataset, check_criterion):
              + r * c_bd * cov(c, d) - c_bd * cov(a, d)) / det
     beta = (c_bd * cov(a, b) - r * c_bd * cov(b, c)
             + r * var_b * cov(c, d) - var_b * cov(a, d)) / (r * det)
-    coeffs = acv_ratio_coefficients([0.0, 0, 1, 2], [0.0, 1, 1, 2],
-                                    [0.0, 0, 1, 1], [0.0, 1, 1, 1],
-                                    r_plugin=1.5)
+    # Thresholds of 1 (target at k=2, source at k_source=3) give the
+    # log-excess and indicator columns a, c, b, d above exactly.
+    e = math.e
+    hand = SemiSupervisedDataset([0.5, 1.0, e, e * e], [1.0, e, e, e * e])
+    coeffs = SufficientStatistics.of(hand, 2, 3).coefficients(1, 1.5)
     errors["acv_alpha"] = abs(coeffs.alpha - float(alpha))
     errors["acv_beta"] = abs(coeffs.beta - float(beta))
 
-    from tailcv import SemiSupervisedDataset
     ds = SemiSupervisedDataset(paired_target=tiny_dataset.paired_target,
                                paired_source=tiny_dataset.paired_source,
                                extra_source=np.full(5, 16.0))
     unit = AcvCoefficients(alpha=1.0, beta=1.0, determinant=1.0,
                            degenerate=False)
-    target = exceedances(ds.paired_target, 2)
-    b_all, d_all = log_excess_indicators(
-        np.concatenate([ds.paired_source, ds.extra_source]),
-        threshold_at(ds.paired_source, 2))
-    errors["acv_estimate"] = abs(corrected_ratio(target.excess, b_all,
-                                                 target.indicator, d_all, unit)
+    errors["acv_estimate"] = abs(SufficientStatistics.of(ds, 2).corrected_ratio(1, unit)
                                  - 13.0 * LN2 / 7.0)
 
     # Ratio-of-means form versus mean-over-top-k form on tie-free samples.
@@ -279,15 +272,13 @@ def test_criterion_11_fallbacks_determinism_invariance(check_criterion):
             and trans_m.value == base_m.value):
         failures.append("m=0 fallback not bitwise")
 
-    # Zero coefficients leave the ratio of means untouched, bit for bit.
-    rng = _stream(11, 0, 0)
-    num = rng.random(40)
-    den = (rng.random(40) > 0.5).astype(float)
+    # Zero coefficients leave the ratio of means untouched, bit for bit,
+    # although the m extra values shift both control means.
+    extra = generate_dataset(_config(5.0, replications=2), 0)
     zero = AcvCoefficients(alpha=0.0, beta=0.0, determinant=1.0,
                            degenerate=False)
-    corrected = corrected_ratio(num, np.concatenate([num, rng.random(10)]),
-                                den, np.concatenate([den, np.ones(10)]), zero)
-    if corrected != num.mean() / den.mean():
+    corrected = SufficientStatistics.of(extra, 100).corrected_ratio(1, zero)
+    if corrected != hill(extra.paired_target, 100).value:
         failures.append("zero-coefficient fallback not bitwise")
 
     # Reruns and worker counts must give byte-identical estimate streams.
@@ -305,6 +296,10 @@ def test_criterion_11_fallbacks_determinism_invariance(check_criterion):
             failures.append(f"workers=2 differs for {name}")
 
     # Joint-exceedance frequency depends only on ranks.
+    def lambda_hat(target, source, k):
+        return SufficientStatistics.of(SemiSupervisedDataset(target, source),
+                                       k).lambda_hat
+
     transforms = (np.exp, np.log, lambda x: x ** 3, lambda x: 2.0 * x + 7.0,
                   np.sqrt)
     rng = _stream(12, 0, 0)
@@ -312,10 +307,10 @@ def test_criterion_11_fallbacks_determinism_invariance(check_criterion):
         x = rng.random(80) + 0.5
         y = x * (0.5 + rng.random(80))
         k = 5 + case % 20
-        base = tail_dependence(x, y, k)
+        base = lambda_hat(x, y, k)
         f = transforms[case % len(transforms)]
         g = transforms[(case + 2) % len(transforms)]
-        if tail_dependence(f(x), g(y), k) != base:
+        if lambda_hat(f(x), g(y), k) != base:
             failures.append(f"rank invariance broken at case {case}")
             break
 

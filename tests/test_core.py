@@ -16,12 +16,21 @@ from tailcv import (
     SemiSupervisedDataset,
     SufficientStatistics,
     TransferCoefficients,
+    asymptotic_rvr,
     build_cv_variables,
+    dependence_report,
     exceedances,
     generate_dataset,
+    hill,
+    hill_plot,
     log_excess_indicators,
+    moment,
     order_statistics,
+    source_threshold_scan,
+    tail_dependence,
     threshold_at,
+    transferred_hill,
+    transferred_moment,
 )
 
 LN2 = np.log(2.0)
@@ -62,6 +71,43 @@ def test_threshold_at_invalid_k(k):
 def test_threshold_at_matches_order_statistics(sample, data):
     k = data.draw(st.integers(min_value=1, max_value=len(sample) - 1))
     assert threshold_at(sample, k) == order_statistics(sample)[len(sample) - k - 1]
+
+
+_K_CONFIG = ExperimentConfig(gamma_t=0.5, theta=5.0, n=50, m=100, k=5,
+                             source_marginal=Marginal.pareto(1.0), replications=2)
+
+# Every public argument that counts extremes, with the name its error gives;
+# each call takes the dataset and the value under test.
+_K_ARGUMENTS = {
+    "hill": ("k", lambda data, k: hill(data.paired_target, k)),
+    "moment": ("k", lambda data, k: moment(data.paired_target, k)),
+    "transferred_hill": ("k", lambda data, k: transferred_hill(data, k)),
+    "transferred_moment": ("k", lambda data, k: transferred_moment(data, k)),
+    "threshold_at": ("k", lambda data, k: threshold_at(data.paired_target, k)),
+    "tail_dependence": ("k", lambda data, k: tail_dependence(
+        data.paired_target, data.paired_source, k)),
+    "dependence_report": ("k", lambda data, k: dependence_report(data, k)),
+    "asymptotic_rvr": ("k", lambda data, k: asymptotic_rvr(data, k)),
+    "hill_plot k_min": ("k_min", lambda data, k: hill_plot(data.paired_target, k, 20)),
+    "hill_plot k_max": ("k_max", lambda data, k: hill_plot(data.paired_target, 1, k)),
+    "hill_plot step": ("step", lambda data, k: hill_plot(data.paired_target, 1, 20, k)),
+    "source_threshold_scan": ("l", lambda data, l: source_threshold_scan(
+        _K_CONFIG, [l])),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 10.9, "3", "7", np.float64(2.0), np.int64(5)],
+                         ids=repr)
+@pytest.mark.parametrize("call", list(_K_ARGUMENTS))
+def test_every_k_and_l_must_be_an_integer(call, value):
+    # Floats in range used to be truncated and strings parsed without a word.
+    name, run = _K_ARGUMENTS[call]
+    data = generate_dataset(_K_CONFIG, 0)
+    if isinstance(value, np.integer):  # an integer of any type is accepted
+        run(data, value)
+    else:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            run(data, value)
 
 
 # ------------------------------------------------------- log-excess pieces
