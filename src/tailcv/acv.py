@@ -87,10 +87,13 @@ def moment_statistics(*sequences) -> MomentStatistics:
     if count < 2:
         raise ValueError("need at least 2 observations")
     stacked = np.array(arrays)
-    means = stacked.mean(axis=1)
-    deviations = stacked - means[:, None]
-    covariance = _covariance(deviations[:, None], deviations[None])
-    return MomentStatistics(means=means, covariance=covariance, count=count)
+    return _moments(stacked, stacked.mean(axis=1))
+
+
+def _moments(rows, means: np.ndarray) -> MomentStatistics:
+    """``moment_statistics`` of the rows, given their means."""
+    dev = np.asarray(rows) - means[:, None]
+    return MomentStatistics(means, _covariance(dev[:, None], dev[None]), dev.shape[1])
 
 
 def _covariance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -223,9 +226,9 @@ class SufficientStatistics:
     one control covariance, which the variance plug-in and the correlations
     read too, so each replication, resample or data file builds this once:
     ``target`` and ``source`` (one sort each; ``source`` is None without a
-    source sample or with an invalid k_source), ``moments`` of
-    (a, g, b, h, c, d) over the n coupled rows, and ``lambda_hat``, the joint
-    exceedance frequency at k (None unless built by ``of``). ``moments`` is
+    source sample or with an invalid k_source), ``moments`` of (a, g, b, h,
+    c, d) over the n coupled rows, from the sides' means, and ``lambda_hat``,
+    the joint exceedance frequency at k (None unless built by ``of``). ``moments`` is
     None when a side has no log-excesses, the source is absent or n < 3;
     ``missing`` then says why, and readers of the matrix raise it. ``m``
     counts the extra source values; they enter only through ``source``'s
@@ -251,9 +254,10 @@ class SufficientStatistics:
         elif self.n < 3:
             missing = "need at least 3 coupled observations"
         else:
-            object.__setattr__(self, "moments", moment_statistics(
-                target.excess, target.square, source.excess, source.square,
-                target.indicator, source.indicator))
+            (a, g, c), (b, h, d) = target.means, source.means
+            object.__setattr__(self, "moments", _moments(
+                (target.excess, target.square, source.excess, source.square,
+                 target.indicator, source.indicator), np.array((a, g, b, h, c, d))))
             return
         object.__setattr__(self, "missing", missing)
 
@@ -261,18 +265,24 @@ class SufficientStatistics:
     def of(cls, dataset: SemiSupervisedDataset, k: int,
            k_source: int | None = None) -> "SufficientStatistics":
         """Build from a dataset; raises for an invalid k or a non-integer k_source."""
-        target = exceedances(dataset.paired_target, k)
+        return cls._of_pool(dataset.paired_target, dataset.paired_source,
+                            (dataset.extra_source,), k, k_source)
+
+    @classmethod
+    def _of_pool(cls, paired_target, paired_source, extra: tuple, k, k_source):
+        """``of`` reading validated pool slices in place, the extras in pieces."""
+        target = exceedances(paired_target, k)
         k_source = target.k if k_source is None else _integer(k_source, "k_source")
-        ordered = order_statistics(dataset.paired_source)
-        above = dataset.paired_source > _order_statistic(ordered, target.k)
+        ordered = order_statistics(paired_source)
+        above = paired_source > _order_statistic(ordered, target.k)
         lambda_hat = float(np.count_nonzero(np.logical_and(target.indicator, above))
                            / target.k)
+        m = sum(piece.size for piece in extra)
         try:
-            source = exceedances(dataset.paired_source, k_source,
-                                 extra=dataset.extra_source, ordered=ordered)
+            source = exceedances(paired_source, k_source, extra=extra, ordered=ordered)
         except EstimationError as error:
-            return cls(target, None, dataset.m, lambda_hat, str(error))
-        return cls(target, source, dataset.m, lambda_hat)
+            return cls(target, None, m, lambda_hat, str(error))
+        return cls(target, source, m, lambda_hat)
 
     @property
     def n(self) -> int:

@@ -238,7 +238,7 @@ class Exceedances:
     exceedance count), each over the values above the threshold alone.
     ``full_means`` are the means of the three columns over all n + m values,
     the coupled sum plus the extra one over n + m, and the very same tuple as
-    ``means`` when there are no extra values. Means are computed on first use.
+    ``means`` when there are no extra values. Each column is summed once, on first use.
     All but ``indicator`` are None when the threshold is not positive.
     """
 
@@ -255,20 +255,22 @@ class Exceedances:
         return int(round(self.indicator.sum()))
 
     @cached_property
+    def _sums(self) -> tuple:
+        return tuple(map(np.add.reduce, (self.excess, self.square, self.indicator)))
+
+    @cached_property
     def means(self) -> tuple | None:
         if self.excess is None:
             return None
-        return tuple(column.mean() for column in (self.excess, self.square,
-                                                  self.indicator))
+        return tuple(column / self.indicator.size for column in self._sums)
 
     @cached_property
     def full_means(self) -> tuple | None:
         if self.extra is None:
             return self.means
-        m, *sums = self.extra
+        m, *extra = self.extra
         total = self.indicator.size + m
-        return tuple((np.add.reduce(column) + extra) / total for column, extra
-                     in zip((self.excess, self.square, self.indicator), sums))
+        return tuple((own + more) / total for own, more in zip(self._sums, extra))
 
 
 def exceedances(coupled, k: int, extra=(),
@@ -276,13 +278,17 @@ def exceedances(coupled, k: int, extra=(),
     """Exceedances of ``coupled``, plus the sums of ``extra`` values, from one sort.
 
     The threshold is the (n-k)-th order statistic of the n coupled values;
-    ``ordered`` may pass their sorted copy to skip the sort. Each extra value
-    is compared with the threshold once, and only those above it are logged,
-    so no (n + m)-long column is built.
+    ``ordered`` may pass their sorted copy to skip the sort and the ValueError
+    for non-finite inputs. ``extra`` holds the m extra values in 1-d pieces in
+    input order, like ``(values,)``; only those above the threshold are joined
+    and logged, so no (n + m)-long column is built.
     """
     coupled = np.asarray(coupled, dtype=float)
+    extra = [np.asarray(piece, dtype=float) for piece in extra]
     if ordered is None:
         ordered = order_statistics(coupled)
+        if not all(piece.ndim == 1 and np.all(np.isfinite(piece)) for piece in extra):
+            raise ValueError("extra must be one-dimensional pieces of finite values")
     k = _valid_k(k, ordered.size)
     threshold = _order_statistic(ordered, k)
     if threshold <= 0:
@@ -290,11 +296,11 @@ def exceedances(coupled, k: int, extra=(),
                            indicator=(coupled > threshold).astype(float))
     excess, indicator = log_excess_indicators(coupled, threshold)
     sums = None
-    if len(extra):
-        extra = np.asarray(extra, dtype=float)
-        above = np.compress(extra > threshold, extra)
+    m = sum(piece.size for piece in extra)
+    if m:
+        above = np.concatenate([np.compress(p > threshold, p) for p in extra])
         log_excess = np.log(above) - np.log(threshold)
-        sums = (extra.size, np.add.reduce(log_excess),
+        sums = (m, np.add.reduce(log_excess),
                 np.add.reduce(log_excess * log_excess), above.size)
     return Exceedances(k=k, threshold=threshold, indicator=indicator,
                        excess=excess, square=excess * excess, extra=sums)

@@ -250,7 +250,7 @@ class ExperimentConfig:
 
     ``gamma_t`` is the target Pareto index (the target marginal is always
     Pareto(gamma_t, y_m)); ``source_marginal`` may be any supported family.
-    ``k`` defaults to round(0.1 * n) and ``k_source`` to ``k``.
+    ``k`` defaults to max(1, round(0.1 * n)) and ``k_source`` to ``k``.
     """
 
     gamma_t: float
@@ -282,8 +282,8 @@ class ExperimentConfig:
             raise ValueError("y_m must be positive")
         if self.replications < 1:
             raise ValueError("replications must be positive")
-        k, k_source = _validated_k(round(0.1 * self.n) if self.k is None else self.k,
-                                   self.k_source, self.n)
+        k = max(1, round(0.1 * self.n)) if self.k is None else self.k
+        k, k_source = _validated_k(k, self.k_source, self.n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "k_source", k_source)
         object.__setattr__(self, "estimators",
@@ -627,11 +627,10 @@ def _resample_values(dataset: SemiSupervisedDataset, n_sub: int, k: int,
     else:
         permutation = rng.permutation(dataset.n)
         chosen, rest = permutation[:n_sub], permutation[n_sub:]
-    subsample = SemiSupervisedDataset(
-        dataset.paired_target[chosen], dataset.paired_source[chosen],
-        np.concatenate([dataset.paired_source[rest], dataset.extra_source]))
-    return _estimate_values(SufficientStatistics.of(subsample, k, k_source),
-                            methods)
+    source = dataset.paired_source
+    return _estimate_values(SufficientStatistics._of_pool(
+        dataset.paired_target[chosen], source[chosen],
+        (source[rest], dataset.extra_source), k, k_source), methods)
 
 
 def bootstrap_study(dataset: SemiSupervisedDataset, n_sub: int, resamples: int,
@@ -642,10 +641,10 @@ def bootstrap_study(dataset: SemiSupervisedDataset, n_sub: int, resamples: int,
 
     Each resample draws ``n_sub`` coupled pairs from the dataset's paired
     rows (without replacement by default; a subsample) to form the coupled
-    set; the source values of the remaining pairs, plus any pre-existing
-    extra_source rows, become the unpaired extras. Estimator failures are
-    excluded from the value sequences and counted. Resamples run in
-    TAILCV_WORKERS processes (default 1), with the same values at any count.
+    set; the source values of the remaining pairs, then the extra_source
+    rows, are the unpaired extras, all read in place from the pool (no copy).
+    Estimator failures are excluded from the value sequences and counted.
+    Resamples run in TAILCV_WORKERS processes (default 1), same values at any count.
 
     Parameters
     ----------

@@ -236,7 +236,7 @@ def coupled_extra_k(draw):
 def test_full_means_equal_means_of_concatenated_columns(case):
     coupled, extra, k = case
     with np.errstate(all="raise"):
-        side = exceedances(coupled, k, extra=extra)
+        side = exceedances(coupled, k, extra=(extra,))
         means = side.full_means
     if side.threshold <= 0:
         assert means is None
@@ -248,6 +248,21 @@ def test_full_means_equal_means_of_concatenated_columns(case):
     assert means[2] == indicator.mean()
     for value, column in zip(means[:2], (excess, excess * excess)):
         assert abs(value - column.mean()) <= 1e-13 * column.mean()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=repr)
+def test_non_finite_extras_raise(bad):
+    # An infinite extra used to give infinite full means; a NaN one was
+    # counted in m and never compared with the threshold.
+    with pytest.raises(ValueError, match="finite values"):
+        exceedances([1.0, 2, 3, 4, 5], 2, extra=([bad],))
+    with pytest.raises(ValueError, match="finite values"):
+        exceedances([1.0, 2, 3, 4, 5], 2, extra=([6.0], [1.0, bad]))
+
+
+def test_extras_must_come_in_pieces():
+    with pytest.raises(ValueError, match="one-dimensional pieces"):
+        exceedances([1.0, 2, 3, 4, 5], 2, extra=[6.0, 7.0])
 
 
 def test_statistics_build_no_full_length_column():

@@ -33,6 +33,7 @@ from tailcv import (
     build_cv_variables,
     cv_correlations,
     dependence_report,
+    exceedances,
     generate_dataset,
     hill,
     log_excess_indicators,
@@ -46,7 +47,14 @@ from tailcv import (
     transferred_moment_from_variables,
     variance_difference_plugin,
 )
-from tailcv.simulate import _replication_record, _run_replication
+from tailcv.simulate import (
+    _ROLE_BOOTSTRAP,
+    _estimate_values,
+    _replication_record,
+    _resample_values,
+    _run_replication,
+    _stream,
+)
 
 METHODS = tuple(Method)
 
@@ -475,3 +483,135 @@ def test_two_pairs_raise_estimation_error_on_the_control_path():
             estimator(pairs, 1)
     with pytest.raises(EstimationError, match="at least 3 coupled"):
         dependence_report(pairs, 1)
+
+
+# ------------------------------------- bootstrap resamples read the pool
+
+
+def ref_subsample(pool, n_sub, with_replacement, seed, index):
+    """A resample as a dataset of its own, as bootstrap_study built it, with
+    the resample's rows and its extras in pieces."""
+    rng = _stream(seed, index, _ROLE_BOOTSTRAP)
+    if with_replacement:
+        chosen = rng.integers(0, pool.n, size=n_sub)
+        rest = np.setdiff1d(np.arange(pool.n), chosen)
+    else:
+        permutation = rng.permutation(pool.n)
+        chosen, rest = permutation[:n_sub], permutation[n_sub:]
+    subsample = SemiSupervisedDataset(
+        pool.paired_target[chosen], pool.paired_source[chosen],
+        np.concatenate([pool.paired_source[rest], pool.extra_source]))
+    return subsample, chosen, (pool.paired_source[rest], pool.extra_source)
+
+
+def state(stats):
+    """Every field of a statistics object and of its sides, as bits."""
+    sides = []
+    for side in (stats.target, stats.source):
+        if side is not None:
+            sides.append((side.k, side.count, repr((side.threshold, side.extra,
+                                                    side.means, side.full_means)))
+                         + tuple(None if column is None else column.tobytes()
+                                 for column in (side.indicator, side.excess, side.square)))
+    moments = stats.moments and (stats.moments.means.tobytes(),
+                                 stats.moments.covariance.tobytes(), stats.moments.count)
+    return sides, stats.m, repr(stats.lambda_hat), stats.missing, moments
+
+
+def readings(stats, gamma):
+    """Every estimate and diagnostic the object gives, or its error."""
+    def reading(func):
+        try:
+            return repr(func())
+        except EstimationError as error:
+            return f"EstimationError: {error}"
+
+    return ([bits(_replication_record(stats, METHODS)),
+             reading(lambda: stats.variance_difference(gamma))]
+            + [reading(lambda: ESTIMATORS[method](stats)) for method in METHODS])
+
+
+def assert_resample_bits(pool, n_sub, k, k_source, with_replacement, seed, index):
+    subsample, chosen, pieces = ref_subsample(pool, n_sub, with_replacement, seed, index)
+    expected = SufficientStatistics.of(subsample, k, k_source)
+    in_place = SufficientStatistics._of_pool(
+        pool.paired_target[chosen], pool.paired_source[chosen], pieces, k, k_source)
+    assert state(in_place) == state(expected)
+    assert readings(in_place, 0.3) == readings(expected, 0.3)
+    assert bits(_resample_values(pool, n_sub, k, k_source, METHODS, with_replacement,
+                                 seed, index)) == bits(_estimate_values(expected, METHODS))
+
+
+# n_sub equal to the pool size leaves no rest; ties and values <= 0 included.
+@example((SemiSupervisedDataset(paired_target=[1.0, 2.0, 2.0, 3.0],
+                                paired_source=[-1.0, 0.0, 2.0, 2.0],
+                                extra_source=[2.0, 0.5]), 1, 2), 4, True, 0, 0)
+@given(datasets(), st.integers(min_value=3, max_value=25), st.booleans(),
+       st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=99))
+def test_resample_read_in_place_equals_its_own_dataset(case, n_sub, with_replacement,
+                                                       seed, index):
+    pool, k, k_source = case
+    n_sub = min(n_sub, pool.n)
+    assert_resample_bits(pool, n_sub, min(k, n_sub - 1), min(k_source, n_sub - 1),
+                         with_replacement, seed, index)
+
+
+POOLS = {
+    "normal": lambda ds: ds,
+    "no_extras": lambda ds: SemiSupervisedDataset(ds.paired_target, ds.paired_source),
+    "ties": lambda ds: SemiSupervisedDataset(np.round(ds.paired_target, 1),
+                                             np.round(ds.paired_source, 0),
+                                             np.round(ds.extra_source, 0)),
+}
+
+
+@pytest.mark.parametrize("with_replacement", [False, True])
+@pytest.mark.parametrize("pool", sorted(POOLS))
+def test_resamples_of_a_normal_source_pool(pool, with_replacement):
+    # A standard-normal source: about half its values, and some thresholds,
+    # are <= 0.
+    config = ExperimentConfig(gamma_t=0.25, theta=5.0, n=400, m=600,
+                              source_marginal=Marginal.standard_normal())
+    dataset = POOLS[pool](generate_dataset(config, 0))
+    for n_sub, k, k_source in ((60, 6, 8), (60, 30, 45), (dataset.n, 40, 40)):
+        for index in range(10):
+            assert_resample_bits(dataset, n_sub, k, k_source, with_replacement, 5, index)
+
+
+# ------------------------------------------------ each column summed once
+
+
+@given(datasets())
+def test_means_equal_column_means_bit_for_bit(case):
+    dataset, k, k_source = case
+    stats = SufficientStatistics.of(dataset, k, k_source)
+    for side in (stats.target, stats.source):
+        if side is not None and side.excess is not None:
+            columns = (side.excess, side.square, side.indicator)
+            assert repr(side.means) == repr(tuple(column.mean() for column in columns))
+    source = stats.source
+    if source is not None and source.excess is not None:
+        b, d = log_excess_indicators(
+            np.concatenate([dataset.paired_source, dataset.extra_source]),
+            source.threshold)
+        assert repr(source.full_means) == repr(tuple(
+            ref_full_mean(column, d, dataset.n) for column in (b, b * b, d)))
+    if stats.moments is not None:
+        rows = (stats.target.excess, stats.target.square, source.excess, source.square,
+                stats.target.indicator, source.indicator)
+        assert stats.moments.means.tobytes() == np.array(rows).mean(axis=1).tobytes()
+
+
+@given(datasets(), st.lists(st.integers(min_value=0, max_value=15), max_size=4))
+def test_extras_in_pieces_equal_their_concatenation(case, cuts):
+    dataset, k, _ = case
+    extra = dataset.extra_source
+    pieces = np.split(extra, sorted(min(cut, extra.size) for cut in cuts))
+    whole = exceedances(dataset.paired_source, k, extra=(extra,))
+    split = exceedances(dataset.paired_source, k, extra=pieces)
+    assert (whole.k, whole.count, repr((whole.threshold, whole.extra, whole.means,
+                                        whole.full_means))) == (
+        split.k, split.count, repr((split.threshold, split.extra, split.means,
+                                    split.full_means)))
+    for name in ("indicator", "excess", "square"):
+        assert np.array_equal(getattr(whole, name), getattr(split, name))

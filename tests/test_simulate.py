@@ -146,6 +146,14 @@ def test_config_defaults():
                                  Method.TRANSFERRED_MOMENT)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 14, 15])
+def test_default_k_is_at_least_one(n):
+    # round(0.1 * n) is 0 for n <= 5, which used to raise "invalid k".
+    config = ExperimentConfig(gamma_t=0.5, theta=2.0, n=n, m=10,
+                              source_marginal=Marginal.pareto(1.0))
+    assert config.k == config.k_source == max(1, round(0.1 * n))
+
+
 def test_config_accepts_method_names():
     config = ExperimentConfig(gamma_t=0.5, theta=2.0, n=100, m=0,
                               source_marginal=Marginal.pareto(1.0),
