@@ -230,15 +230,12 @@ class SufficientStatistics:
     c, d) over the n coupled rows, from the sides' means, and ``lambda_hat``,
     the joint exceedance frequency at k (None unless built by ``of``). ``moments`` is
     None when a side has no log-excesses, the source is absent or n < 3;
-    ``missing`` then says why, and readers of the matrix raise it. ``m``
-    counts the extra source values; they enter only through ``source``'s
-    full-sample means, which ``corrected_ratio`` reads, and no (n + m)-long
-    column is kept.
+    ``missing`` then says why, and ``covariance`` raises it. The m extra
+    source values enter only through ``source.m`` and ``source.full_means``.
     """
 
     target: Exceedances
     source: Exceedances | None = None
-    m: int = 0
     lambda_hat: float | None = None
     missing: str | None = None
     moments: MomentStatistics | None = field(init=False, default=None)
@@ -277,12 +274,11 @@ class SufficientStatistics:
         above = paired_source > _order_statistic(ordered, target.k)
         lambda_hat = float(np.count_nonzero(np.logical_and(target.indicator, above))
                            / target.k)
-        m = sum(piece.size for piece in extra)
         try:
             source = exceedances(paired_source, k_source, extra=extra, ordered=ordered)
         except EstimationError as error:
-            return cls(target, None, m, lambda_hat, str(error))
-        return cls(target, source, m, lambda_hat)
+            return cls(target, None, lambda_hat, str(error))
+        return cls(target, source, lambda_hat)
 
     @property
     def n(self) -> int:
@@ -327,7 +323,7 @@ class SufficientStatistics:
             raise EstimationError("no exceedances")
         value, degenerate = _variance_differences(
             *(cov[i, j] for i, j in _PLUGIN_ENTRIES),
-            mean_c, gamma_hat, self.n, self.m)
+            mean_c, gamma_hat, self.n, self.source.m)
         if degenerate:
             raise EstimationError("degenerate control variate")
         return float(value)

@@ -302,7 +302,7 @@ def _write_csv(path: str | None, header, rows) -> None:
 
 def _cmd_simulate(args) -> int:
     config = _load_config_with_overrides(args)
-    report = run_rvr_experiment(config, workers=args.workers)
+    report = run_rvr_experiment(config)
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "rvr_report.json")
     with open(report_path, "w") as handle:
@@ -348,7 +348,7 @@ def _cmd_rvr_sweep(args) -> int:
     rows = []
     for value in values:
         point = _config_with(config, args.vary, value)
-        report = run_rvr_experiment(point, workers=args.workers)
+        report = run_rvr_experiment(point)
         for pair in report.pairs:
             rows.append([
                 _fmt(float(value)) if isinstance(value, float) else value,
@@ -380,7 +380,7 @@ def _cmd_threshold_scan(args) -> int:
         raise ValueError("step must be positive")
     config = _load_config_with_overrides(args)
     l_values = range(args.l_min, args.l_max + 1, args.step)
-    points = source_threshold_scan(config, l_values, workers=args.workers)
+    points = source_threshold_scan(config, l_values)
     rows = [[point.l, _fmt(point.median), _fmt(point.q1), _fmt(point.q3),
              point.negative_count, point.failed] for point in points]
     _write_csv(args.out, ["l", "median", "q1", "q3", "negative_count", "failed"],
@@ -422,6 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="tailcv",
         description="Tail-index estimation with transfer from a correlated "
                     "source sample.",
+        epilog="TAILCV_WORKERS sets the process count of the studies (default 1).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -442,8 +443,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-    p_sim.add_argument("--workers", type=int, default=None,
-                       help="process count (default: TAILCV_WORKERS or 1)")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_sweep = sub.add_parser("rvr-sweep", help="variance study over a grid")
@@ -453,7 +452,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="comma-separated values for the varied parameter")
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--workers", type=int, default=None)
     p_sweep.set_defaults(func=_cmd_rvr_sweep)
 
     p_plot = sub.add_parser("hill-plot", help="estimate-versus-k table")
@@ -471,7 +469,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--l-max", type=int, required=True)
     p_scan.add_argument("--step", type=int, default=1)
     p_scan.add_argument("--seed", type=int, default=None)
-    p_scan.add_argument("--workers", type=int, default=None)
     p_scan.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p_scan.set_defaults(func=_cmd_threshold_scan)
 

@@ -12,7 +12,6 @@ import math
 import operator
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -232,56 +231,33 @@ class Exceedances:
     """One side's exceedances of the (n-k)-th order statistic of its n coupled values.
 
     ``indicator`` (0/1), ``excess`` (log-excess, 0.0 off the exceedances) and
-    ``square`` hold the n coupled rows, and ``means`` are their means in that
-    order. ``extra`` holds what the full-sample means need of the m extra
-    values: (m, sum of their log-excesses, sum of their squares, their
-    exceedance count), each over the values above the threshold alone.
-    ``full_means`` are the means of the three columns over all n + m values,
-    the coupled sum plus the extra one over n + m, and the very same tuple as
-    ``means`` when there are no extra values. Each column is summed once, on first use.
-    All but ``indicator`` are None when the threshold is not positive.
+    ``square`` hold the n coupled rows, ``count`` is their number of
+    exceedances and ``means`` their means in that order. ``full_means`` are
+    the means over all n + m values, with the m extra ones: the very tuple
+    ``means`` when m = 0. Only ``indicator``, ``count`` and ``m`` are set
+    when the threshold is not positive.
     """
 
     k: int
     threshold: float
     indicator: np.ndarray
+    count: int
+    m: int = 0
     excess: np.ndarray | None = None
     square: np.ndarray | None = None
-    extra: tuple | None = None
-
-    @cached_property
-    def count(self) -> int:
-        """The realized number of exceedances among the coupled values."""
-        return int(round(self.indicator.sum()))
-
-    @cached_property
-    def _sums(self) -> tuple:
-        return tuple(map(np.add.reduce, (self.excess, self.square, self.indicator)))
-
-    @cached_property
-    def means(self) -> tuple | None:
-        if self.excess is None:
-            return None
-        return tuple(column / self.indicator.size for column in self._sums)
-
-    @cached_property
-    def full_means(self) -> tuple | None:
-        if self.extra is None:
-            return self.means
-        m, *extra = self.extra
-        total = self.indicator.size + m
-        return tuple((own + more) / total for own, more in zip(self._sums, extra))
+    means: tuple | None = None
+    full_means: tuple | None = None
 
 
 def exceedances(coupled, k: int, extra=(),
                 ordered: np.ndarray | None = None) -> Exceedances:
-    """Exceedances of ``coupled``, plus the sums of ``extra`` values, from one sort.
+    """Exceedances of ``coupled``, with ``extra`` in the full means, from one sort.
 
     The threshold is the (n-k)-th order statistic of the n coupled values;
     ``ordered`` may pass their sorted copy to skip the sort and the ValueError
     for non-finite inputs. ``extra`` holds the m extra values in 1-d pieces in
     input order, like ``(values,)``; only those above the threshold are joined
-    and logged, so no (n + m)-long column is built.
+    and logged, so no (n + m)-long column is built. Each column is summed once.
     """
     coupled = np.asarray(coupled, dtype=float)
     extra = [np.asarray(piece, dtype=float) for piece in extra]
@@ -291,19 +267,21 @@ def exceedances(coupled, k: int, extra=(),
             raise ValueError("extra must be one-dimensional pieces of finite values")
     k = _valid_k(k, ordered.size)
     threshold = _order_statistic(ordered, k)
-    if threshold <= 0:
-        return Exceedances(k=k, threshold=threshold,
-                           indicator=(coupled > threshold).astype(float))
-    excess, indicator = log_excess_indicators(coupled, threshold)
-    sums = None
     m = sum(piece.size for piece in extra)
+    if threshold <= 0:
+        indicator = (coupled > threshold).astype(float)
+        return Exceedances(k, threshold, indicator, int(round(indicator.sum())), m)
+    excess, indicator = log_excess_indicators(coupled, threshold)
+    square, n = excess * excess, indicator.size
+    sums = tuple(map(np.add.reduce, (excess, square, indicator)))
+    means = full_means = tuple(total / n for total in sums)
     if m:
         above = np.concatenate([np.compress(p > threshold, p) for p in extra])
         log_excess = np.log(above) - np.log(threshold)
-        sums = (m, np.add.reduce(log_excess),
-                np.add.reduce(log_excess * log_excess), above.size)
-    return Exceedances(k=k, threshold=threshold, indicator=indicator,
-                       excess=excess, square=excess * excess, extra=sums)
+        more = (*map(np.add.reduce, (log_excess, log_excess * log_excess)), above.size)
+        full_means = tuple((own + add) / (n + m) for own, add in zip(sums, more))
+    return Exceedances(k, threshold, indicator, int(round(sums[2])), m, excess,
+                       square, means, full_means)
 
 
 def build_cv_variables(dataset: SemiSupervisedDataset, k: int,

@@ -104,14 +104,17 @@ def asymptotic_rvr_formula(lambda_hat: float, p: float, c_ab: float,
     return float(lambda_hat * lambda_hat * (m / (n + m)) * shape)
 
 
-def _joint_scaled_excess_moments(stats: SufficientStatistics, gamma_t_hat: float,
-                                 gamma_s_hat: float) -> tuple[float, float]:
+def _joint_scaled_excess_moments(stats: SufficientStatistics,
+                                 gamma_t_hat: float | None,
+                                 gamma_s_hat: float | None) -> tuple[float, float]:
     """Conditional moments (c_ab, c_ad) of scaled log-excesses.
 
     Over indices where both coupled coordinates strictly exceed their
-    thresholds, z_t and z_s are the log-excesses scaled by the respective
-    index estimates; c_ad = mean(z_t - 1) and c_ab = mean((z_t - 1) * z_s).
+    thresholds, z_t and z_s are the log-excesses scaled by the given or
+    default index estimates; c_ad = mean(z_t - 1) and c_ab = mean((z_t - 1) * z_s).
     """
+    stats.covariance  # raises the reason when a side has no log-excesses
+    gamma_t_hat, gamma_s_hat = _resolve_gamma_hats(stats, gamma_t_hat, gamma_s_hat)
     target, source = stats.target, stats.source
     joint = np.logical_and(target.indicator, source.indicator)
     if not joint.any():
@@ -136,15 +139,6 @@ def _resolve_gamma_hats(stats: SufficientStatistics, gamma_t_hat: float | None,
     return float(gamma_t_hat), float(gamma_s_hat)
 
 
-def _scaled_moments(stats: SufficientStatistics, gamma_t_hat: float | None,
-                    gamma_s_hat: float | None) -> tuple[float, float]:
-    """(c_ab, c_ad) with the given or default index estimates."""
-    if stats.moments is None:  # both sides need log-excesses
-        raise EstimationError(stats.missing)
-    gamma_t_hat, gamma_s_hat = _resolve_gamma_hats(stats, gamma_t_hat, gamma_s_hat)
-    return _joint_scaled_excess_moments(stats, gamma_t_hat, gamma_s_hat)
-
-
 def asymptotic_rvr(dataset: SemiSupervisedDataset, k: int,
                    k_source: int | None = None,
                    gamma_t_hat: float | None = None,
@@ -166,13 +160,14 @@ def asymptotic_rvr(dataset: SemiSupervisedDataset, k: int,
         estimates on the coupled target and source samples.
     """
     stats = SufficientStatistics.of(dataset, k, k_source)
-    return _asymptotic_rvr(stats, *_scaled_moments(stats, gamma_t_hat, gamma_s_hat))
+    return _asymptotic_rvr(stats, *_joint_scaled_excess_moments(
+        stats, gamma_t_hat, gamma_s_hat))
 
 
 def _asymptotic_rvr(stats: SufficientStatistics, c_ab: float, c_ad: float) -> float:
     """The closed form at the tail dependence clipped at 1 and p = k/n."""
     return asymptotic_rvr_formula(min(stats.lambda_hat, 1.0), stats.target.k / stats.n,
-                                  c_ab, c_ad, stats.n, stats.m)
+                                  c_ab, c_ad, stats.n, stats.source.m)
 
 
 def _diagnostics(stats: SufficientStatistics) -> dict:
@@ -192,7 +187,7 @@ def _diagnostics(stats: SufficientStatistics) -> dict:
         except EstimationError:
             pass
     try:
-        c_ab, c_ad = _scaled_moments(stats, None, None)
+        c_ab, c_ad = _joint_scaled_excess_moments(stats, None, None)
     except EstimationError:
         return record
     record["c_ab_hat"], record["c_ad_hat"] = c_ab, c_ad

@@ -366,6 +366,18 @@ def _resolve_workers(workers: int | None) -> int:
     return workers
 
 
+_task = None  # a pool worker's func, set once at its start, not sent per chunk
+
+
+def _set_task(func) -> None:
+    global _task
+    _task = func
+
+
+def _call_task(index: int):
+    return _task(index)
+
+
 def _map_replications(func, count: int, workers: int | None) -> list:
     """Apply func to 0..count-1, optionally in a process pool, in index order."""
     workers = _resolve_workers(workers)
@@ -375,8 +387,9 @@ def _map_replications(func, count: int, workers: int | None) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     chunksize = max(1, count // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, range(count), chunksize=chunksize))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_set_task,
+                             initargs=(func,)) as pool:
+        return list(pool.map(_call_task, range(count), chunksize=chunksize))
 
 
 def _columns(records, names=None) -> tuple[np.ndarray, np.ndarray]:

@@ -250,17 +250,22 @@ def test_corrected_ratio_degenerate_denominator():
 
 # ---------------------------------------------- variance difference plug-in
 
+def hand_side(excess, indicator, n):
+    """One side of hand-made columns; the rows past the first n are its extras."""
+    columns = (excess, excess * excess, indicator)
+    m = excess.size - n
+    means = tuple(column[:n].sum() / n for column in columns)
+    full_means = tuple((column[:n].sum() + column[n:].sum()) / (n + m)
+                       for column in columns) if m else means
+    count = int(indicator[:n].sum())
+    return Exceedances(k=count, threshold=1.0, indicator=indicator[:n], count=count,
+                       m=m, excess=excess[:n], square=columns[1][:n], means=means,
+                       full_means=full_means)
+
+
 def hand_statistics(a, c, b_all, d_all):
     """Statistics of hand-made columns: a, c over n rows, b, d over n + m."""
-    n, h_all = a.size, b_all * b_all
-    m = b_all.size - n
-    target = Exceedances(k=int(c.sum()), threshold=1.0, indicator=c, excess=a,
-                         square=a * a)
-    source = Exceedances(k=int(d_all[:n].sum()), threshold=1.0,
-                         indicator=d_all[:n], excess=b_all[:n], square=h_all[:n],
-                         extra=(m, b_all[n:].sum(), h_all[n:].sum(),
-                                d_all[n:].sum()) if m else None)
-    return SufficientStatistics(target, source, m=m)
+    return SufficientStatistics(hand_side(a, c, a.size), hand_side(b_all, d_all, a.size))
 
 
 def orthogonal_statistics():

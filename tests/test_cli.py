@@ -422,7 +422,8 @@ def test_rvr_sweep_over_n_rescales_k(tmp_path, config_path):
 
 def test_rvr_sweep_over_the_smallest_n(tmp_path, config_path):
     # The sweep resets k to its default, which is 1 for n = 3..5. The moment
-    # estimator is undefined at k = 1, so only the Hill pair is studied.
+    # estimator is undefined at k = 1, so only the Hill pair is studied, and
+    # transferred Hill falls back to Hill there: its RVR is exactly 0.
     with open(config_path, "a") as handle:
         handle.write("estimators = hill,transferred_hill\n")
     out = tmp_path / "sweep_small_n"
@@ -430,6 +431,7 @@ def test_rvr_sweep_over_the_smallest_n(tmp_path, config_path):
                  "--values", "3,4,5", "--out", str(out)]) == 0
     rows = (out / "sweep.csv").read_text().splitlines()[1:]
     assert [row.split(",")[:2] for row in rows] == [[n, "hill"] for n in "345"]
+    assert [float(row.split(",")[2]) for row in rows] == [0.0, 0.0, 0.0]
 
 
 # ------------------------------------------------------- hill-plot CLI

@@ -183,7 +183,7 @@ def test_build_cv_variables_hand_case(tiny_dataset):
     np.testing.assert_array_equal(source.indicator, target.indicator)
     np.testing.assert_array_equal(target.square, target.excess ** 2)
     assert target.threshold == 4.0 and source.threshold == 4.0
-    assert (stats.n, stats.m) == (5, 0)
+    assert (stats.n, source.m) == (5, 0)
 
 
 def test_build_cv_variables_tied_source_all_zero():
@@ -213,7 +213,7 @@ def test_source_threshold_from_coupled_rows_only():
     _, indicator = log_excess_indicators(
         np.concatenate([ds.paired_source, ds.extra_source]), source.threshold)
     np.testing.assert_array_equal(indicator[5:], [1, 1, 1])
-    assert source.extra[0] == 3 and source.extra[3] == 3
+    assert source.m == 3
     assert source.full_means[2] == indicator.mean()
 
 
@@ -238,6 +238,8 @@ def test_full_means_equal_means_of_concatenated_columns(case):
     with np.errstate(all="raise"):
         side = exceedances(coupled, k, extra=(extra,))
         means = side.full_means
+    assert side.m == extra.size
+    assert side.count == int(side.indicator.sum())
     if side.threshold <= 0:
         assert means is None
         return

@@ -509,13 +509,13 @@ def state(stats):
     sides = []
     for side in (stats.target, stats.source):
         if side is not None:
-            sides.append((side.k, side.count, repr((side.threshold, side.extra,
+            sides.append((side.k, side.count, repr((side.threshold, side.m,
                                                     side.means, side.full_means)))
                          + tuple(None if column is None else column.tobytes()
                                  for column in (side.indicator, side.excess, side.square)))
     moments = stats.moments and (stats.moments.means.tobytes(),
                                  stats.moments.covariance.tobytes(), stats.moments.count)
-    return sides, stats.m, repr(stats.lambda_hat), stats.missing, moments
+    return sides, repr(stats.lambda_hat), stats.missing, moments
 
 
 def readings(stats, gamma):
@@ -609,9 +609,9 @@ def test_extras_in_pieces_equal_their_concatenation(case, cuts):
     pieces = np.split(extra, sorted(min(cut, extra.size) for cut in cuts))
     whole = exceedances(dataset.paired_source, k, extra=(extra,))
     split = exceedances(dataset.paired_source, k, extra=pieces)
-    assert (whole.k, whole.count, repr((whole.threshold, whole.extra, whole.means,
+    assert (whole.k, whole.count, repr((whole.threshold, whole.m, whole.means,
                                         whole.full_means))) == (
-        split.k, split.count, repr((split.threshold, split.extra, split.means,
+        split.k, split.count, repr((split.threshold, split.m, split.means,
                                     split.full_means)))
     for name in ("indicator", "excess", "square"):
         assert np.array_equal(getattr(whole, name), getattr(split, name))

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -564,6 +565,26 @@ def test_bootstrap_deterministic(bootstrap_pool, monkeypatch):
             for name, values in first.estimates.items():
                 assert other.estimates[name].tobytes() == values.tobytes()
             assert other.failures == first.failures
+
+
+def test_bootstrap_pool_is_pickled_at_most_once_per_worker(bootstrap_pool,
+                                                           monkeypatch):
+    # Each worker receives the pool once, when it starts, never with a chunk
+    # of resamples; a forked worker inherits it without any pickling.
+    pickled = []
+    reduce = SemiSupervisedDataset.__reduce_ex__
+
+    def counted(self, protocol):
+        pickled.append(protocol)
+        return reduce(self, protocol)
+
+    monkeypatch.setattr(SemiSupervisedDataset, "__reduce_ex__", counted)
+    monkeypatch.setenv("TAILCV_WORKERS", "2")
+    bootstrap_study(bootstrap_pool, n_sub=100, resamples=400, k=10,
+                    estimators=("hill",), seed=3)
+    assert len(pickled) <= 2
+    if multiprocessing.get_start_method() == "fork":
+        assert pickled == []
 
 
 def test_bootstrap_full_pool_single_resample(bootstrap_pool):

@@ -69,6 +69,19 @@ def test_degenerate_coefficients_fall_back_to_moment_bitwise():
     assert transferred.value == baseline.value
 
 
+def test_one_exceedance_per_side_falls_back_to_hill_bitwise():
+    # At k = 1 the one source log-excess sits where d = 1, so b = b_max * d
+    # and the Hill coefficient system is singular: an n-sweep at its default
+    # k (1 below n = 15) gives a Hill RVR of exactly 0.
+    config = ExperimentConfig(gamma_t=0.5, theta=5.0, n=5, m=200,
+                              source_marginal=Marginal.pareto(1.0), seed=7)
+    for index in range(30):
+        ds = generate_dataset(config, index)
+        transferred = transferred_hill(ds, 1)
+        assert transferred.coefficients.degenerate
+        assert transferred.value == hill(ds.paired_target, 1).value
+
+
 # ------------------------------------------------------------- diagnostics
 
 def test_transferred_hill_records_coefficients(theta5_dataset, theta5_config):
