@@ -282,9 +282,22 @@ def _cmd_estimate(args) -> int:
 
 def _load_config_with_overrides(args) -> ExperimentConfig:
     config = load_experiment_config(args.config)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config = replace(config, seed=args.seed)
     return config
+
+
+def _workers() -> int:
+    """The studies' process count: TAILCV_WORKERS, default 1."""
+    value = os.environ.get("TAILCV_WORKERS", "1")
+    try:
+        workers = int(value)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"TAILCV_WORKERS must be a positive integer, "
+                         f"got '{value}'")
+    return workers
 
 
 def _write_csv(path: str | None, header, rows) -> None:
@@ -302,7 +315,7 @@ def _write_csv(path: str | None, header, rows) -> None:
 
 def _cmd_simulate(args) -> int:
     config = _load_config_with_overrides(args)
-    report = run_rvr_experiment(config)
+    report = run_rvr_experiment(config, workers=_workers())
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "rvr_report.json")
     with open(report_path, "w") as handle:
@@ -345,10 +358,11 @@ def _cmd_rvr_sweep(args) -> int:
         raise ValueError(f"bad --values list: '{args.values}'") from None
     if not values:
         raise ValueError("empty --values list")
+    workers = _workers()
     rows = []
     for value in values:
         point = _config_with(config, args.vary, value)
-        report = run_rvr_experiment(point)
+        report = run_rvr_experiment(point, workers=workers)
         for pair in report.pairs:
             rows.append([
                 _fmt(float(value)) if isinstance(value, float) else value,
@@ -380,7 +394,7 @@ def _cmd_threshold_scan(args) -> int:
         raise ValueError("step must be positive")
     config = _load_config_with_overrides(args)
     l_values = range(args.l_min, args.l_max + 1, args.step)
-    points = source_threshold_scan(config, l_values)
+    points = source_threshold_scan(config, l_values, workers=_workers())
     rows = [[point.l, _fmt(point.median), _fmt(point.q1), _fmt(point.q3),
              point.negative_count, point.failed] for point in points]
     _write_csv(args.out, ["l", "median", "q1", "q3", "negative_count", "failed"],
@@ -402,7 +416,7 @@ def _cmd_bootstrap(args) -> int:
         dataset, n_sub=args.n_sub, resamples=args.resamples, k=args.k,
         estimators=DEFAULT_ESTIMATORS if args.methods is None else args.methods,
         seed=args.seed, k_source=args.k_source,
-        with_replacement=args.with_replacement,
+        with_replacement=args.with_replacement, workers=_workers(),
     )
     rows = []
     for name, values in result.estimates.items():

@@ -150,8 +150,7 @@ def hill_plot(sample, k_min: int, k_max: int, step: int = 1) -> HillPlotSeries:
     estimates = np.empty(k_values.size)
     for i, k in enumerate(k_values):
         try:
-            side = exceedances(arr, k, ordered=ordered)
-            estimates[i] = _hill(SufficientStatistics(side)).value
+            estimates[i] = _ratio(exceedances(arr, k, ordered=ordered))
         except EstimationError:
             estimates[i] = np.nan
     return HillPlotSeries(k_values=k_values, estimates=estimates)

@@ -13,7 +13,6 @@ can run in any order or in parallel with bit-identical results.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -48,10 +47,7 @@ __all__ = [
     "source_threshold_scan",
     "BootstrapResult",
     "bootstrap_study",
-    "WORKERS_ENV_VAR",
 ]
-
-WORKERS_ENV_VAR = "TAILCV_WORKERS"
 
 # Variable roles keying the per-replication RNG streams.
 _ROLE_COUPLED = 0
@@ -351,21 +347,6 @@ def _estimate_values(stats: SufficientStatistics, methods) -> dict:
     return values
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        value = os.environ.get(WORKERS_ENV_VAR, "1")
-        try:
-            workers = int(value)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be a positive integer, "
-                             f"got '{value}'")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    return workers
-
-
 _task = None  # a pool worker's func, set once at its start, not sent per chunk
 
 
@@ -378,10 +359,12 @@ def _call_task(index: int):
     return _task(index)
 
 
-def _map_replications(func, count: int, workers: int | None) -> list:
-    """Apply func to 0..count-1, optionally in a process pool, in index order."""
-    workers = _resolve_workers(workers)
-    if workers <= 1 or count <= 1:
+def _map_replications(func, count: int, workers: int) -> list:
+    """Apply func to 0..count-1, in a pool of ``workers`` processes, in index order."""
+    workers = _integer(workers, "workers")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    if workers == 1 or count <= 1:
         return [func(index) for index in range(count)]
     # Imported here so that serial runs never load the pool's modules.
     from concurrent.futures import ProcessPoolExecutor
@@ -454,22 +437,20 @@ class RvrReport:
         return _json_fields(self, omit=("estimates", "method"))
 
 
-def run_rvr_experiment(config: ExperimentConfig,
-                       workers: int | None = None) -> RvrReport:
+def run_rvr_experiment(config: ExperimentConfig, workers: int = 1) -> RvrReport:
     """Run the replicated study and summarize variances, RVR, and diagnostics.
 
-    Replications are independent and may run in a process pool (``workers``
-    argument, else the TAILCV_WORKERS environment variable, else serial); the
-    report is bit-identical for any worker count. An estimator failing in
-    more than 10% of replications aborts with "unstable configuration",
-    naming the estimator and its failure count.
+    Replications are independent and run in ``workers`` processes (default
+    1, serial); the report is bit-identical for any worker count. An
+    estimator failing in more than 10% of replications aborts with
+    "unstable configuration", naming the estimator and its failure count.
 
     Parameters
     ----------
     config : ExperimentConfig
         Must request at least 2 replications.
-    workers : int, optional
-        Process count for replication-level parallelism.
+    workers : int
+        Process count for replication-level parallelism, at least 1.
     """
     if config.replications < 2:
         raise ValueError("need at least 2 replications")
@@ -575,14 +556,15 @@ _QUARTILES = (25.0, 50.0, 75.0)
 
 
 def source_threshold_scan(config: ExperimentConfig, l_values,
-                          workers: int | None = None) -> tuple:
+                          workers: int = 1) -> tuple:
     """Scan the source extremes count l for the analytic variance minimum.
 
     For each l, collects the plug-in analytic variance of the transferred
     Hill estimator (baseline plug-in variance minus the plug-in variance
     difference) across the configured replications and summarizes its
     distribution. Negative estimates are retained in the quartiles and
-    counted per point.
+    counted per point. Replications run in ``workers`` processes (default 1),
+    with the same points at any count.
 
     Returns
     -------
@@ -648,8 +630,8 @@ def _resample_values(dataset: SemiSupervisedDataset, n_sub: int, k: int,
 
 def bootstrap_study(dataset: SemiSupervisedDataset, n_sub: int, resamples: int,
                     k: int, estimators=DEFAULT_ESTIMATORS, seed: int = 0,
-                    k_source: int | None = None,
-                    with_replacement: bool = False) -> BootstrapResult:
+                    k_source: int | None = None, with_replacement: bool = False,
+                    workers: int = 1) -> BootstrapResult:
     """Subsample the coupled pool and re-estimate, mimicking scarce targets.
 
     Each resample draws ``n_sub`` coupled pairs from the dataset's paired
@@ -657,7 +639,7 @@ def bootstrap_study(dataset: SemiSupervisedDataset, n_sub: int, resamples: int,
     set; the source values of the remaining pairs, then the extra_source
     rows, are the unpaired extras, all read in place from the pool (no copy).
     Estimator failures are excluded from the value sequences and counted.
-    Resamples run in TAILCV_WORKERS processes (default 1), same values at any count.
+    Resamples run in ``workers`` processes (default 1), same values at any count.
 
     Parameters
     ----------
@@ -676,6 +658,8 @@ def bootstrap_study(dataset: SemiSupervisedDataset, n_sub: int, resamples: int,
         Source extremes count, defaulting to k; also at most n_sub - 1.
     with_replacement : bool
         Draw the coupled set with replacement instead of subsampling.
+    workers : int
+        Process count for resample-level parallelism, at least 1.
     """
     methods = _normalize_estimators(estimators)
     n_sub, resamples = _integer(n_sub, "n_sub"), _integer(resamples, "resamples")
@@ -690,7 +674,7 @@ def bootstrap_study(dataset: SemiSupervisedDataset, n_sub: int, resamples: int,
     k, k_source = _validated_k(k, k_source, n_sub)
     records = _map_replications(
         partial(_resample_values, dataset, n_sub, k, k_source, methods,
-                with_replacement, seed), resamples, None)
+                with_replacement, seed), resamples, workers)
     names = [method.value for method in methods]
     columns, failed = _columns(records, names)
     return BootstrapResult(estimates=dict(zip(names, columns)),

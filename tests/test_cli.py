@@ -12,6 +12,7 @@ from tailcv import (
     generate_dataset,
     hill,
     run_rvr_experiment,
+    simulate,
     transferred_hill,
 )
 from tailcv.cli import (
@@ -376,12 +377,56 @@ def test_simulate_rejects_non_finite_config_before_any_replication(
 @pytest.mark.parametrize("value", ["abc", "", "1.5", "0"])
 def test_simulate_names_a_bad_workers_variable(tmp_path, config_path, capsys,
                                                 monkeypatch, value):
-    # These used to fail naming neither the variable nor its value.
+    # These used to fail naming neither the variable nor its value. The four
+    # study subcommands read the variable; estimate and hill-plot never do.
     monkeypatch.setenv("TAILCV_WORKERS", value)
+    pool = tmp_path / "five.csv"
+    pool.write_text(FIVE_POINT_CSV)
+    studies = (
+        ["simulate", "--config", config_path, "--out", str(tmp_path / "runs")],
+        ["rvr-sweep", "--config", config_path, "--vary", "theta",
+         "--values", "2", "--out", str(tmp_path / "sweep")],
+        ["threshold-scan", "--config", config_path, "--l-min", "5",
+         "--l-max", "6"],
+        ["bootstrap", "--data", str(pool), "--n-sub", "4", "--resamples", "2",
+         "--k", "1"],
+    )
+    for argv in studies:
+        assert main(argv) == 1, argv[0]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: TAILCV_WORKERS must be a positive integer, got '{value}'\n")
+    assert not (tmp_path / "runs").exists() and not (tmp_path / "sweep").exists()
+    assert main(["estimate", "--data", str(pool), "--k", "2"]) == 0
+    assert main(["hill-plot", "--data", str(pool), "--k-min", "1",
+                 "--k-max", "2"]) == 0
+
+
+def test_study_subcommands_pass_the_workers_variable(tmp_path, config_path,
+                                                     capsys, monkeypatch):
+    # The studies run serially here; the spy records the count they were given.
+    monkeypatch.setenv("TAILCV_WORKERS", "3")
+    given = []
+    serial = simulate._map_replications
+
+    def spy(func, count, workers):
+        given.append(workers)
+        return serial(func, count, 1)
+
+    monkeypatch.setattr(simulate, "_map_replications", spy)
+    pool = tmp_path / "five.csv"
+    pool.write_text(FIVE_POINT_CSV)
     assert main(["simulate", "--config", config_path,
-                 "--out", str(tmp_path / "runs")]) == 1
-    assert capsys.readouterr().err == (
-        f"error: TAILCV_WORKERS must be a positive integer, got '{value}'\n")
+                 "--out", str(tmp_path / "runs")]) == 0
+    assert main(["rvr-sweep", "--config", config_path, "--vary", "theta",
+                 "--values", "2,3", "--out", str(tmp_path / "sweep")]) == 0
+    assert main(["threshold-scan", "--config", config_path, "--l-min", "5",
+                 "--l-max", "6"]) == 0
+    assert main(["bootstrap", "--data", str(pool), "--n-sub", "4",
+                 "--resamples", "2", "--k", "1", "--methods", "hill"]) == 0
+    capsys.readouterr()
+    assert given == [3] * 5
 
 
 def test_simulate_seed_override(tmp_path, config_path):

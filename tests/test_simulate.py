@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import astuple
 from functools import partial
 from unittest import mock
 
@@ -276,15 +277,13 @@ def test_runner_requires_two_replications():
         run_rvr_experiment(config)
 
 
-def test_runner_deterministic_across_reruns(monkeypatch):
+def test_runner_deterministic_across_reruns():
     config = ExperimentConfig(gamma_t=0.5, theta=5.0, n=200, m=400,
                               source_marginal=Marginal.pareto(1.0),
                               replications=40, seed=99)
-    monkeypatch.delenv("TAILCV_WORKERS", raising=False)
     first = run_rvr_experiment(config)
     again = run_rvr_experiment(config)
-    monkeypatch.setenv("TAILCV_WORKERS", "2")
-    parallel = run_rvr_experiment(config)
+    parallel = run_rvr_experiment(config, workers=2)
     for name in first.estimates:
         np.testing.assert_array_equal(first.estimates[name],
                                       again.estimates[name])
@@ -334,7 +333,6 @@ def test_cold_start_loads_neither_scipy_nor_the_process_pool():
     root = os.path.dirname(os.path.dirname(os.path.abspath(tailcv.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [root, os.environ.get("PYTHONPATH")])))
-    env.pop("TAILCV_WORKERS", None)
     result = subprocess.run([sys.executable, "-c", COLD_START], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
@@ -548,18 +546,15 @@ def bootstrap_pool():
     return generate_dataset(config, 0)
 
 
-def test_bootstrap_deterministic(bootstrap_pool, monkeypatch):
+def test_bootstrap_deterministic(bootstrap_pool):
     # Resamples are keyed by (seed, index, role), so neither a rerun nor the
-    # worker count (TAILCV_WORKERS, as for the other studies) moves a bit.
-    monkeypatch.delenv("TAILCV_WORKERS", raising=False)
+    # worker count moves a bit.
     for with_replacement in (False, True):
         study = partial(bootstrap_study, bootstrap_pool, n_sub=500,
                         resamples=20, k=50, seed=3,
                         with_replacement=with_replacement)
         first, again = study(), study()
-        monkeypatch.setenv("TAILCV_WORKERS", "2")
-        parallel = study()
-        monkeypatch.delenv("TAILCV_WORKERS")
+        parallel = study(workers=2)
         for other in (again, parallel):
             assert other.estimates.keys() == first.estimates.keys()
             for name, values in first.estimates.items():
@@ -579,9 +574,8 @@ def test_bootstrap_pool_is_pickled_at_most_once_per_worker(bootstrap_pool,
         return reduce(self, protocol)
 
     monkeypatch.setattr(SemiSupervisedDataset, "__reduce_ex__", counted)
-    monkeypatch.setenv("TAILCV_WORKERS", "2")
     bootstrap_study(bootstrap_pool, n_sub=100, resamples=400, k=10,
-                    estimators=("hill",), seed=3)
+                    estimators=("hill",), seed=3, workers=2)
     assert len(pickled) <= 2
     if multiprocessing.get_start_method() == "fork":
         assert pickled == []
@@ -602,7 +596,7 @@ def test_bootstrap_variance_reduction(bootstrap_pool):
     assert var_transferred < var_hill
 
 
-def test_bootstrap_validation(bootstrap_pool, monkeypatch):
+def test_bootstrap_validation(bootstrap_pool):
     with pytest.raises(ValueError):
         bootstrap_study(bootstrap_pool, n_sub=bootstrap_pool.n + 1,
                         resamples=5, k=10)
@@ -618,9 +612,8 @@ def test_bootstrap_validation(bootstrap_pool, monkeypatch):
             bootstrap_study(bootstrap_pool, n_sub=100, resamples=5, k=k,
                             k_source=k_source)
     # Resamples follow the worker rule of the other studies.
-    monkeypatch.setenv("TAILCV_WORKERS", "0")
-    with pytest.raises(ValueError, match="^TAILCV_WORKERS must be a positive"):
-        bootstrap_study(bootstrap_pool, n_sub=100, resamples=5, k=10)
+    with pytest.raises(ValueError, match="^workers must be at least 1$"):
+        bootstrap_study(bootstrap_pool, n_sub=100, resamples=5, k=10, workers=0)
 
 
 @pytest.mark.parametrize("study,kwargs,message", [
@@ -640,23 +633,51 @@ def test_bootstrap_validation(bootstrap_pool, monkeypatch):
     ("bootstrap", dict(resamples=2.5), "resamples must be an integer"),
     ("bootstrap", dict(k=10.0), "k must be an integer"),
     ("bootstrap", dict(k_source=5.5), "k_source must be an integer"),
+    *[(study, dict(workers=workers), "workers must be an integer")
+      for study in ("rvr", "scan", "bootstrap") for workers in (2.0, 1.5, "2")],
 ])
 def test_integer_inputs_are_checked_before_any_draw(bootstrap_pool, study,
                                                     kwargs, message):
     # These used to fail inside replication or resample 0 with numpy's
-    # message, or (k_source=5.5) to be truncated without a word.
+    # message, or (k_source=5.5) to be truncated without a word; a float or
+    # string worker count raised a TypeError.
     stream = mock.Mock(side_effect=AssertionError("a stream was drawn"))
+    base = dict(gamma_t=0.5, theta=2.0, n=50, m=10, k=5,
+                source_marginal=Marginal.pareto(1.0), replications=2)
     with mock.patch("tailcv.simulate._stream", stream):
         with pytest.raises(ValueError, match=f"^{message}$"):
             if study == "config":
-                base = dict(gamma_t=0.5, theta=2.0, n=50, m=10, k=5,
-                            source_marginal=Marginal.pareto(1.0),
-                            replications=2)
                 run_rvr_experiment(ExperimentConfig(**{**base, **kwargs}))
+            elif study == "rvr":
+                run_rvr_experiment(ExperimentConfig(**base), **kwargs)
+            elif study == "scan":
+                source_threshold_scan(ExperimentConfig(**base), [5], **kwargs)
             else:
-                base = dict(n_sub=100, resamples=2, k=10)
-                bootstrap_study(bootstrap_pool, **{**base, **kwargs})
+                bootstrap_study(bootstrap_pool, **{
+                    **dict(n_sub=100, resamples=2, k=10), **kwargs})
     stream.assert_not_called()
+
+
+def test_studies_ignore_the_workers_variable(bootstrap_pool, monkeypatch):
+    # The library takes its process count from the workers argument alone;
+    # only the command line reads TAILCV_WORKERS.
+    config = ExperimentConfig(gamma_t=0.5, theta=5.0, n=200, m=400,
+                              source_marginal=Marginal.pareto(1.0),
+                              replications=6, seed=4)
+
+    def run_all():
+        report = run_rvr_experiment(config)
+        points = source_threshold_scan(config, (10, 20))
+        result = bootstrap_study(bootstrap_pool, n_sub=200, resamples=4, k=20,
+                                 seed=1)
+        return [cell_bits(values) for values in (
+            *report.estimates.values(), *result.estimates.values(),
+            [value for point in points for value in astuple(point)])]
+
+    monkeypatch.delenv("TAILCV_WORKERS", raising=False)
+    unset = run_all()
+    monkeypatch.setenv("TAILCV_WORKERS", "abc")
+    assert run_all() == unset
 
 
 def test_bootstrap_with_replacement_smoke(bootstrap_pool):
