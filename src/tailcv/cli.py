@@ -35,7 +35,6 @@ from .estimators import hill_plot
 from .simulate import (
     DEFAULT_ESTIMATORS,
     ExperimentConfig,
-    Marginal,
     _normalize_estimators,
     _validated_k,
     bootstrap_study,
@@ -137,7 +136,6 @@ _CONFIG_TYPES = {
     "gamma_s": float,
     "theta": float,
     "y_m": float,
-    "shape_b": float,
     "n": int,
     "m": int,
     "k": int,
@@ -145,43 +143,19 @@ _CONFIG_TYPES = {
     "replications": int,
     "seed": int,
     "estimators": str,
-    "source_marginal": str,
 }
-_REQUIRED_CONFIG_KEYS = ("gamma_t", "theta", "n", "m")
-
-
-def _resolve_source_marginal(raw: dict, path: str) -> Marginal:
-    family = raw.get("source_marginal")
-    gamma_s = raw.get("gamma_s")
-    shape_b = raw.get("shape_b")
-    y_m = raw.get("y_m", 1e-3)
-    if family is None:
-        if gamma_s is None:
-            raise ValueError(f"{path}: set source_marginal or gamma_s")
-        return marginal_for_evi(gamma_s, y_m)
-    if family == "pareto":
-        if gamma_s is None or gamma_s <= 0:
-            raise ValueError(f"{path}: pareto source needs gamma_s > 0")
-        return Marginal.pareto(gamma_s, y_m)
-    if family == "normal":
-        return Marginal.standard_normal()
-    if family == "beta":
-        if shape_b is not None:
-            return Marginal.beta(shape_b)
-        if gamma_s is not None and gamma_s < 0:
-            return Marginal.beta(-1.0 / gamma_s)
-        raise ValueError(f"{path}: beta source needs shape_b or negative gamma_s")
-    raise ValueError(f"{path}: unknown source_marginal '{family}'")
+_REQUIRED_CONFIG_KEYS = ("gamma_t", "gamma_s", "theta", "n", "m")
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:
     """Parse a flat key = value config file into an ExperimentConfig.
 
     Keys mirror the config fields (gamma_t, theta, n, m, k, k_source,
-    replications, seed, estimators, y_m) plus the source-marginal spelling
-    (source_marginal = pareto|normal|beta with gamma_s/shape_b, or gamma_s
-    alone with the family inferred from its sign). '#' starts a comment.
-    Unknown and duplicate keys are errors with their 1-based line number.
+    replications, seed, estimators, y_m) except the source marginal, which
+    the required gamma_s sets through marginal_for_evi: Pareto(gamma_s, y_m)
+    above 0, the standard normal at 0 and Beta(1, -1/gamma_s) below.
+    '#' starts a comment. Unknown and duplicate keys are errors with their
+    1-based line number.
     """
     raw: dict = {}
     with open(path) as handle:
@@ -206,12 +180,10 @@ def load_experiment_config(path: str) -> ExperimentConfig:
     missing = [key for key in _REQUIRED_CONFIG_KEYS if key not in raw]
     if missing:
         raise ValueError(f"{path}: missing required keys: {', '.join(missing)}")
-    marginal = _resolve_source_marginal(raw, path)
+    marginal = marginal_for_evi(raw.pop("gamma_s"), raw.get("y_m", 1e-3))
     # The other keys name ExperimentConfig fields. It parses the comma-separated
     # estimator names and gives the fields left out their defaults.
-    kwargs = {key: value for key, value in raw.items()
-              if key not in ("gamma_s", "shape_b", "source_marginal")}
-    return ExperimentConfig(source_marginal=marginal, **kwargs)
+    return ExperimentConfig(source_marginal=marginal, **raw)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -262,6 +234,8 @@ def _cmd_estimate(args) -> int:
                   file=sys.stderr)
         # The method already keys the record.
         estimates[method.value] = _json_fields(estimate, omit=("method",))
+    if not estimates:
+        raise EstimationError("no method gave an estimate")
     try:
         dependence = _json_fields(_dependence_report(stats))
     except EstimationError as exc:
@@ -278,13 +252,6 @@ def _cmd_estimate(args) -> int:
     }
     _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     return 0
-
-
-def _load_config_with_overrides(args) -> ExperimentConfig:
-    config = load_experiment_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    return config
 
 
 def _workers() -> int:
@@ -314,7 +281,7 @@ def _write_csv(path: str | None, header, rows) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    config = _load_config_with_overrides(args)
+    config = load_experiment_config(args.config)
     report = run_rvr_experiment(config, workers=_workers())
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "rvr_report.json")
@@ -349,7 +316,7 @@ def _config_with(config: ExperimentConfig, vary: str, value) -> ExperimentConfig
 
 
 def _cmd_rvr_sweep(args) -> int:
-    config = _load_config_with_overrides(args)
+    config = load_experiment_config(args.config)
     cast = _SWEEP_CASTS[args.vary]
     try:
         values = [cast(piece.strip()) for piece in args.values.split(",")
@@ -392,7 +359,7 @@ def _cmd_hill_plot(args) -> int:
 def _cmd_threshold_scan(args) -> int:
     if args.step < 1:
         raise ValueError("step must be positive")
-    config = _load_config_with_overrides(args)
+    config = load_experiment_config(args.config)
     l_values = range(args.l_min, args.l_max + 1, args.step)
     points = source_threshold_scan(config, l_values, workers=_workers())
     rows = [[point.l, _fmt(point.median), _fmt(point.q1), _fmt(point.q3),
@@ -455,8 +422,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="replicated variance study")
     p_sim.add_argument("--config", required=True, help="key = value config file")
     p_sim.add_argument("--out", required=True, help="output directory")
-    p_sim.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_sweep = sub.add_parser("rvr-sweep", help="variance study over a grid")
@@ -465,7 +430,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values for the varied parameter")
     p_sweep.add_argument("--out", required=True, help="output directory")
-    p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.set_defaults(func=_cmd_rvr_sweep)
 
     p_plot = sub.add_parser("hill-plot", help="estimate-versus-k table")
@@ -482,7 +446,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--l-min", type=int, required=True)
     p_scan.add_argument("--l-max", type=int, required=True)
     p_scan.add_argument("--step", type=int, default=1)
-    p_scan.add_argument("--seed", type=int, default=None)
     p_scan.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p_scan.set_defaults(func=_cmd_threshold_scan)
 

@@ -186,23 +186,17 @@ def test_load_shipped_config(path):
 
 
 def test_config_gamma_s_sign_dispatch(tmp_path):
+    # The sign of gamma_s picks the family, as in rvr-sweep --vary gamma_s.
     base = "gamma_t = 0.5\ntheta = 2.0\nn = 50\nm = 0\n"
-    normal = tmp_path / "normal.cfg"
-    normal.write_text(base + "gamma_s = 0.0\n")
-    assert load_experiment_config(str(normal)).source_marginal.family == "normal"
-    beta = tmp_path / "beta.cfg"
-    beta.write_text(base + "gamma_s = -0.25\n")
-    marginal = load_experiment_config(str(beta)).source_marginal
-    assert marginal.family == "beta"
-    assert abs(marginal.evi + 0.25) < 1e-15
-    # An explicit family takes its parameter from gamma_s or shape_b.
     for lines, expected in (
-            ("source_marginal = pareto\ngamma_s = 0.5\n", Marginal.pareto(0.5)),
-            ("source_marginal = beta\nshape_b = 2.0\n", Marginal.beta(2.0)),
-            ("source_marginal = beta\ngamma_s = -0.5\n", Marginal.beta(2.0))):
-        explicit = tmp_path / "explicit.cfg"
-        explicit.write_text(base + lines)
-        assert load_experiment_config(str(explicit)).source_marginal == expected
+            ("gamma_s = 0.0\n", Marginal.standard_normal()),
+            ("gamma_s = 0.5\n", Marginal.pareto(0.5)),
+            ("gamma_s = 0.5\ny_m = 0.25\n", Marginal.pareto(0.5, 0.25)),
+            ("gamma_s = -0.5\n", Marginal.beta(2.0)),
+            ("gamma_s = -0.25\n", Marginal.beta(4.0))):
+        path = tmp_path / "dispatch.cfg"
+        path.write_text(base + lines)
+        assert load_experiment_config(str(path)).source_marginal == expected
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -213,13 +207,19 @@ def test_config_gamma_s_sign_dispatch(tmp_path):
     ("gamma_t = 0.5\ntheta = 2.0\nn = fifty\nm = 0\ngamma_s = 1\n",
      "bad value"),
     ("gamma_t = 0.5\ntheta = 2.0\nn = 50\ngamma_s = 1\n", "missing required"),
-    ("gamma_t = 0.5\ntheta = 2.0\nn = 50\nm = 0\n", "source_marginal"),
-    ("gamma_t = 0.5\ntheta = 2.0\nn = 50\nm = 0\nsource_marginal = pareto\n",
-     "pareto source needs gamma_s > 0"),
+    ("gamma_t = 0.5\ntheta = 2.0\nn = 50\nm = 0\n",
+     "missing required keys: gamma_s"),
+    # The old source-family spellings stop at their line.
+    ("gamma_t = 0.5\ntheta = 2.0\nn = 50\nm = 0\nsource_marginal = pareto\n"
+     "gamma_s = 0.5\n", "bad.cfg:5: unknown key 'source_marginal'"),
     ("gamma_t = 0.5\ntheta = 2.0\nn = 50\nm = 0\nsource_marginal = beta\n"
-     "gamma_s = 0.5\n", "beta source needs shape_b or negative gamma_s"),
+     "shape_b = 2.0\n", "bad.cfg:5: unknown key 'source_marginal'"),
     ("gamma_t = 0.5\ntheta = 2.0\nn = 50\nm = 0\nsource_marginal = cauchy\n",
-     "unknown source_marginal 'cauchy'"),
+     "bad.cfg:5: unknown key 'source_marginal'"),
+    ("gamma_t = 0.5\ntheta = 2.0\nn = 50\nm = 0\ngamma_s = 0.5\n"
+     "source_marginal = normal\n", "bad.cfg:6: unknown key 'source_marginal'"),
+    ("gamma_t = 0.5\ntheta = 2.0\nn = 50\nm = 0\ngamma_s = -0.5\n"
+     "shape_b = 2.0\n", "bad.cfg:6: unknown key 'shape_b'"),
     ("gamma_t = 0.5\ntheta = 2.0\nn = 50\nm = 0\ngamma_s = 1\n"
      "estimators = hill, median\n", "unknown estimator 'median'"),
 ])
@@ -331,6 +331,20 @@ def test_estimate_invalid_k_without_methods_exits_one(data_path, capsys, k_flags
     assert "error: invalid k" in captured.err
 
 
+def test_estimate_without_any_estimate_exits_one(tmp_path, capsys):
+    # At k = 2 the target threshold is -2, so every default method fails.
+    data = tmp_path / "negative.csv"
+    data.write_text("target,source\n1,1\n-1,2\n-2,3\n-3,4\n,5\n")
+    out = tmp_path / "estimates.json"
+    assert main(["estimate", "--data", str(data), "--k", "2",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("diagnostic: ") == 4
+    assert captured.err.endswith("error: no method gave an estimate\n")
+    assert not out.exists()
+
+
 # ----------------------------------------------------------- simulate CLI
 
 def test_simulate_writes_report_and_estimates(tmp_path, config_path, capsys):
@@ -429,16 +443,32 @@ def test_study_subcommands_pass_the_workers_variable(tmp_path, config_path,
     assert given == [3] * 5
 
 
-def test_simulate_seed_override(tmp_path, config_path):
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    main(["simulate", "--config", config_path, "--out", str(out_a),
-          "--seed", "123"])
-    main(["simulate", "--config", config_path, "--out", str(out_b),
-          "--seed", "124"])
-    text_a = (out_a / "estimates.csv").read_text()
-    text_b = (out_b / "estimates.csv").read_text()
-    assert text_a != text_b
+def test_simulate_seed_override(tmp_path):
+    # Two configs that differ only in their seed give different studies.
+    outputs = []
+    for seed in (123, 124):
+        path = tmp_path / f"seed-{seed}.cfg"
+        path.write_text(TINY_CONFIG.replace("seed = 7", f"seed = {seed}"))
+        out = tmp_path / str(seed)
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        outputs.append((out / "estimates.csv").read_text())
+    assert outputs[0] != outputs[1]
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--out", "runs"],
+    ["rvr-sweep", "--vary", "theta", "--values", "2", "--out", "sweep"],
+    ["threshold-scan", "--l-min", "10", "--l-max", "12"],
+], ids=lambda command: command[0])
+def test_config_studies_take_their_seed_from_the_config(
+        tmp_path, config_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], "--config", config_path, *command[1:],
+                 "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --seed 1" in captured.err
+    assert [path.name for path in tmp_path.iterdir()] == ["study.cfg"]
 
 
 # ---------------------------------------------------------------- sweeps
@@ -526,8 +556,7 @@ def test_threshold_scan_without_finite_medians(tmp_path, capsys):
     # Above l = n/2 the normal source threshold is negative, so the plug-in
     # fails in every replication and every median is NaN.
     path = tmp_path / "normal.cfg"
-    path.write_text(TINY_CONFIG.replace("gamma_s = 1.0",
-                                        "source_marginal = normal"))
+    path.write_text(TINY_CONFIG.replace("gamma_s = 1.0", "gamma_s = 0.0"))
     assert main(["threshold-scan", "--config", str(path), "--l-min", "60",
                  "--l-max", "62"]) == 0
     captured = capsys.readouterr()
@@ -559,6 +588,17 @@ def test_bootstrap_table(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "method,resample,value\n"
     assert "diagnostic: moment: 5 failed resamples" in captured.err
+
+
+def test_bootstrap_keeps_its_seed_flag(data_path, capsys):
+    # bootstrap reads no config file, so --seed stays its one seed setting.
+    tables = []
+    for seed in ("1", "2", "1"):
+        assert main(["bootstrap", "--data", data_path, "--n-sub", "3",
+                     "--resamples", "4", "--k", "1", "--with-replacement",
+                     "--methods", "hill", "--seed", seed]) == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[2] != tables[1]
 
 
 def test_bootstrap_rejects_a_negative_seed_with_the_config_message(
