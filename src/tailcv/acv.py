@@ -18,8 +18,10 @@ from .core import (
     EstimationError,
     Exceedances,
     SemiSupervisedDataset,
+    _descending_order,
     _integer,
     _order_statistic,
+    _prefix_sums,
     exceedances,
     order_statistics,
 )
@@ -192,13 +194,30 @@ def _shifted_ratio(numerator, numerator_shift, denominator, denominator_shift,
     return float(numerator / denominator)
 
 
-def _variance_differences(var_b, var_d, cov_bd, cov_ab, cov_ad, cov_bc, cov_cd,
-                          mean_c, gamma_hat, n: int, m: int):
-    """``SufficientStatistics.variance_difference`` at one l or a block of l.
+def _variance_differences(sums, count, log_threshold, target_means,
+                          gamma_hat, n: int, m: int):
+    """``SufficientStatistics.variance_difference`` at one l or at many.
 
-    The seven covariance entries are scalars, or arrays over l. Returns the
-    values and the degenerate flags; a degenerate value is NaN.
+    ``sums`` are ``core._prefix_sums`` columns over the source's ``count``
+    exceedances of a threshold whose log, less the sums' origin, is
+    ``log_threshold``; all three are scalars or arrays over l. With
+    b = (L - log_threshold) * d over the n coupled rows, the seven entries
+    are Cov(x, y) = (Σxy - Σx * mean(y)) / (n - 1). Returns the values and
+    the degenerate flags; a degenerate value is NaN.
     """
+    sum_l, sum_ll, sum_a, sum_al, sum_c, sum_cl = sums
+    mean_a, _, mean_c = target_means
+    sum_b = sum_l - count * log_threshold
+    sum_bb = (sum_ll - 2.0 * log_threshold * sum_l
+              + count * log_threshold * log_threshold)
+    scale = 1 / (n - 1)
+    var_b = (sum_bb - sum_b * (sum_b / n)) * scale
+    var_d = (count - count * (count / n)) * scale
+    cov_bd = (sum_b - sum_b * (count / n)) * scale
+    cov_ab = (sum_al - log_threshold * sum_a - sum_b * mean_a) * scale
+    cov_ad = (sum_a - count * mean_a) * scale
+    cov_bc = (sum_cl - log_threshold * sum_c - sum_b * mean_c) * scale
+    cov_cd = (sum_c - count * mean_c) * scale
     determinant = var_b * var_d - cov_bd * cov_bd
     degenerate = _degenerate(var_b, var_d, cov_bd, determinant)
     # Every other determinant is positive, so nothing divides by zero.
@@ -213,9 +232,6 @@ def _variance_differences(var_b, var_d, cov_bd, cov_ab, cov_ad, cov_bc, cov_cd,
 # Rows of the control covariance: target log-excess a and its square g,
 # source log-excess b and its square h, target and source indicators c, d.
 _A, _G, _B, _H, _C, _D = range(6)
-# The entries the variance plug-in reads, in _variance_differences' order.
-_PLUGIN_ENTRIES = ((_B, _B), (_D, _D), (_B, _D), (_A, _B), (_A, _D),
-                   (_B, _C), (_C, _D))
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,14 +332,26 @@ class SufficientStatistics:
         - Cov(b,d)**2, all with n-1 divisors over the n coupled rows. Where
         defined, spread >= 0 and det > 0. The variance estimate, baseline
         minus this, can be negative; threshold scans count those cells.
+
+        The seven entries come in raw-sum form, Cov(x, y) = (Σxy - Σx *
+        mean(y)) / (n - 1), from ``core._prefix_sums`` over the source's
+        coupled exceedances in ``core._descending_order``: the largest
+        value first, ties in row order. Those rows are the first of the
+        whole coupled source in that order, so a threshold scan reads the
+        same sums, with the same bits, from one sort for every l.
         """
-        cov = self.covariance
-        mean_c = self.target.means[2]
-        if mean_c == 0.0:
+        if self.moments is None:
+            raise EstimationError(self.missing)
+        target, source = self.target, self.source
+        if target.means[2] == 0.0:
             raise EstimationError("no exceedances")
+        rows = np.flatnonzero(source.indicator)
+        rows = rows[_descending_order(source.values[rows])]
+        origin, sums = _prefix_sums(source.values[rows], target.excess[rows],
+                                    target.indicator[rows])
         value, degenerate = _variance_differences(
-            *(cov[i, j] for i, j in _PLUGIN_ENTRIES),
-            mean_c, gamma_hat, self.n, self.source.m)
+            sums[:, -1], rows.size, np.log(source.threshold) - origin,
+            target.means, gamma_hat, self.n, source.m)
         if degenerate:
             raise EstimationError("degenerate control variate")
         return float(value)

@@ -168,6 +168,30 @@ def order_statistics(sample) -> np.ndarray:
     return np.sort(arr)
 
 
+def _descending_order(values) -> np.ndarray:
+    """Indices that put ``values`` from largest to smallest, ties in input order."""
+    return np.argsort(-np.asarray(values, dtype=float), kind="stable")
+
+
+def _prefix_sums(ranked, a, c) -> tuple[float, np.ndarray]:
+    """Sums over the j largest values for every j at once, from one pass.
+
+    ``ranked`` holds positive values in ``_descending_order``, and ``a`` and
+    ``c`` the rows that go with them. Column j of the returned (6, size + 1)
+    array sums L, L², a, a·L, c and c·L over the first j rows, in that
+    order; column 0 is zeros. L is ln(value) - origin, and the returned
+    origin is the log of the largest value (0.0 when there is none), so the
+    sums do not grow with the values' scale. Each row is summed in order
+    (``np.cumsum``), so column j has the same bits whatever rows follow it.
+    """
+    log = np.log(ranked)
+    origin = float(log[0]) if log.size else 0.0
+    log -= origin
+    sums = np.zeros((6, log.size + 1))
+    np.cumsum((log, log * log, a, a * log, c, c * log), axis=1, out=sums[:, 1:])
+    return origin, sums
+
+
 def _integer(value, name: str) -> int:
     """value as an int; a float, a string or any other non-integer is rejected."""
     try:
@@ -234,8 +258,9 @@ class Exceedances:
     ``square`` hold the n coupled rows, ``count`` is their number of
     exceedances and ``means`` their means in that order. ``full_means`` are
     the means over all n + m values, with the m extra ones: the very tuple
-    ``means`` when m = 0. Only ``indicator``, ``count`` and ``m`` are set
-    when the threshold is not positive.
+    ``means`` when m = 0. ``values`` are the n coupled values themselves.
+    Only ``indicator``, ``count`` and ``m`` are set when the threshold is not
+    positive.
     """
 
     k: int
@@ -247,6 +272,7 @@ class Exceedances:
     square: np.ndarray | None = None
     means: tuple | None = None
     full_means: tuple | None = None
+    values: np.ndarray | None = None
 
 
 def exceedances(coupled, k: int, extra=(),
@@ -281,7 +307,7 @@ def exceedances(coupled, k: int, extra=(),
         more = (*map(np.add.reduce, (log_excess, log_excess * log_excess)), above.size)
         full_means = tuple((own + add) / (n + m) for own, add in zip(sums, more))
     return Exceedances(k, threshold, indicator, int(round(sums[2])), m, excess,
-                       square, means, full_means)
+                       square, means, full_means, coupled)
 
 
 def build_cv_variables(dataset: SemiSupervisedDataset, k: int,

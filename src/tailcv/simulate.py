@@ -18,20 +18,21 @@ from functools import partial
 
 import numpy as np
 
-from .acv import SufficientStatistics, _covariance, _variance_differences
+from .acv import SufficientStatistics, _variance_differences
 from .core import (
     EstimationError,
     Method,
     SemiSupervisedDataset,
+    _descending_order,
     _integer,
     _json_fields,
+    _prefix_sums,
     _valid_k,
     exceedances,
-    order_statistics,
 )
 from .dependence import _DIAGNOSTICS, DependenceReport, _diagnostics, _report
 from .estimators import _hill
-from .transfer import ESTIMATORS
+from .transfer import ESTIMATORS, _transferred_hill
 
 __all__ = [
     "Marginal",
@@ -337,11 +338,19 @@ def _replication_record(stats: SufficientStatistics, estimators) -> dict:
 
 
 def _estimate_values(stats: SufficientStatistics, methods) -> dict:
-    """Each method's estimate of one dataset by name, NaN where it fails."""
+    """Each method's estimate of one dataset by name, NaN where it fails.
+
+    Only the values are kept, so the transferred Hill estimate is taken
+    without its plug-in variance.
+    """
     values = {}
     for method in methods:
         try:
-            values[method.value] = ESTIMATORS[method](stats).value
+            if method is Method.TRANSFERRED_HILL:
+                estimate = _transferred_hill(stats, variance=False)
+            else:
+                estimate = ESTIMATORS[method](stats)
+            values[method.value] = estimate.value
         except EstimationError:
             values[method.value] = float("nan")
     return values
@@ -508,17 +517,12 @@ class ThresholdScanPoint:
     failed: int
 
 
-# Elements in each (l x n) array of a scan block: 16 values of l at n = 1000.
-_SCAN_BLOCK_ELEMENTS = 16384
-
-
 def _scan_replication(config: ExperimentConfig, l_values: tuple,
                       replication_index: int) -> np.ndarray:
     # No extra source value is drawn: m enters the plug-in only as a count.
-    # The target side, the source sort and the log of the coupled source
-    # values are shared by every l. A block of l values then builds only
-    # the coupled source log-excess and indicator rows and the seven
-    # covariance entries the plug-in reads.
+    # After one sort of the coupled source, largest first, each threshold's
+    # exceedances are a prefix, so one pass of prefix sums gives the seven
+    # covariance entries the plug-in reads at every l.
     pairs = SemiSupervisedDataset(*_coupled_pairs(config, replication_index))
     out = np.full(len(l_values), np.nan)
     try:
@@ -527,28 +531,20 @@ def _scan_replication(config: ExperimentConfig, l_values: tuple,
     except EstimationError:
         return out
     source = pairs.paired_source
-    n = source.size
-    thresholds = order_statistics(source)[n - 1 - np.asarray(l_values)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_source = np.log(source)  # read only above a positive threshold
-    dev_a = target.excess - target.means[0]
-    dev_c = target.indicator - target.means[2]
+    order = _descending_order(source)
+    ranked = source[order]
+    thresholds = ranked[np.asarray(l_values)]
     positive = np.flatnonzero(thresholds > 0)
-    step = max(1, _SCAN_BLOCK_ELEMENTS // n)
-    for start in range(0, positive.size, step):
-        rows = positive[start:start + step]
-        threshold = thresholds[rows, None]
-        above = source > threshold
-        d = above.astype(float)
-        b = np.where(above, log_source - np.log(threshold), 0.0)
-        dev_b = b - b.mean(axis=1)[:, None]
-        dev_d = d - d.mean(axis=1)[:, None]
-        differences, _ = _variance_differences(
-            _covariance(dev_b, dev_b), _covariance(dev_d, dev_d),
-            _covariance(dev_b, dev_d), _covariance(dev_b, dev_a),
-            _covariance(dev_d, dev_a), _covariance(dev_b, dev_c),
-            _covariance(dev_d, dev_c), target.means[2], baseline.value, n, config.m)
-        out[rows] = baseline.variance_estimate - differences
+    thresholds = thresholds[positive]
+    # The count strictly above each threshold: below l where values tie.
+    counts = np.searchsorted(-ranked, -thresholds)
+    top = order[:counts.max(initial=0)]
+    origin, sums = _prefix_sums(ranked[:top.size], target.excess[top],
+                                target.indicator[top])
+    differences, _ = _variance_differences(
+        sums[:, counts], counts, np.log(thresholds) - origin, target.means,
+        baseline.value, source.size, config.m)
+    out[positive] = baseline.variance_estimate - differences
     return out
 
 

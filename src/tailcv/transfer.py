@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from .acv import SufficientStatistics
 from .core import (
+    EstimationError,
     EviEstimate,
     Method,
     SemiSupervisedDataset,
@@ -28,22 +29,30 @@ __all__ = [
 ]
 
 
-def _transferred_hill(stats: SufficientStatistics) -> EviEstimate:
+def _transferred_hill(stats: SufficientStatistics,
+                      variance: bool = True) -> EviEstimate:
+    """The estimate; ``variance=False`` leaves out its plug-in variance (None)."""
     r_plugin = _ratio(stats.target)
     coefficients = stats.coefficients(1, r_plugin)
     value = stats.corrected_ratio(1, coefficients)
     k_eff = stats.target.count
-    base_variance = r_plugin * r_plugin / k_eff
-    if coefficients.degenerate:
-        variance = base_variance
-    else:
-        variance = base_variance - stats.variance_difference(r_plugin)
+    variance_estimate = None
+    if variance:
+        variance_estimate = r_plugin * r_plugin / k_eff
+        if not coefficients.degenerate:
+            try:
+                variance_estimate -= stats.variance_difference(r_plugin)
+            except EstimationError:
+                # The plug-in's raw sums can find the controls singular where
+                # the coefficients' covariance, a rounding away, does not:
+                # then no reduction is claimed.
+                pass
+        variance_estimate = max(variance_estimate, 0.0)
     record = TransferCoefficients(alpha=coefficients.alpha, beta=coefficients.beta,
                                   degenerate=coefficients.degenerate)
     return EviEstimate(
         value=value, method=Method.TRANSFERRED_HILL, k=stats.target.k,
-        k_eff=k_eff, coefficients=record,
-        variance_estimate=max(variance, 0.0),
+        k_eff=k_eff, coefficients=record, variance_estimate=variance_estimate,
     )
 
 

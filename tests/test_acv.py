@@ -250,8 +250,12 @@ def test_corrected_ratio_degenerate_denominator():
 
 # ---------------------------------------------- variance difference plug-in
 
-def hand_side(excess, indicator, n):
-    """One side of hand-made columns; the rows past the first n are its extras."""
+def hand_side(excess, indicator, n, values=None):
+    """One side of hand-made columns; the rows past the first n are its extras.
+
+    ``values`` are the n + m source values the columns are the log-excesses
+    of, over the threshold 1.0; the target side needs none.
+    """
     columns = (excess, excess * excess, indicator)
     m = excess.size - n
     means = tuple(column[:n].sum() / n for column in columns)
@@ -260,17 +264,24 @@ def hand_side(excess, indicator, n):
     count = int(indicator[:n].sum())
     return Exceedances(k=count, threshold=1.0, indicator=indicator[:n], count=count,
                        m=m, excess=excess[:n], square=columns[1][:n], means=means,
-                       full_means=full_means)
+                       full_means=full_means,
+                       values=None if values is None else values[:n])
 
 
-def hand_statistics(a, c, b_all, d_all):
-    """Statistics of hand-made columns: a, c over n rows, b, d over n + m."""
-    return SufficientStatistics(hand_side(a, c, a.size), hand_side(b_all, d_all, a.size))
+def hand_statistics(a, c, source):
+    """Statistics of hand-made target columns a, c over n rows and n + m source
+    values, whose threshold is 1.0."""
+    b_all, d_all = log_excess_indicators(source, 1.0)
+    return SufficientStatistics(hand_side(a, c, a.size),
+                                hand_side(b_all, d_all, a.size, source))
 
 
 def orthogonal_statistics():
-    return hand_statistics(ORTH_A, ORTH_C, np.concatenate([ORTH_B, [0.5, 0.0]]),
-                           np.concatenate([ORTH_D, [1.0, 0.0]]))
+    # The source exceeds 1.0 in the rows of ORTH_D, at 4.0 in two and 2.0 in
+    # the other two, one of each where ORTH_C is 1: every cross-covariance
+    # of (a, c) with (b, d) is zero, and so is its raw sum, exactly.
+    source = np.array([4.0, 0.5, 4.0, 0.5, 2.0, 0.5, 2.0, 0.5, 1.5, 0.5])
+    return hand_statistics(ORTH_A, ORTH_C, source)
 
 
 def test_variance_difference_zero_when_m_zero(tiny_dataset):
@@ -285,7 +296,7 @@ def test_variance_difference_exactly_zero_for_orthogonal_controls():
 
 def test_variance_difference_degenerate_controls():
     c = np.array([1.0, 0, 1, 0, 1, 0])
-    v = hand_statistics(2.0 * c, c, 3.0 * c, c)
+    v = hand_statistics(2.0 * c, c, np.where(c > 0, np.exp(3.0), 0.5))
     with pytest.raises(EstimationError, match="degenerate control variate"):
         variance_difference_plugin(v, gamma_hat=2.0)
 

@@ -9,6 +9,8 @@ import pytest
 from tailcv import (
     ExperimentConfig,
     Marginal,
+    SufficientStatistics,
+    bootstrap_study,
     generate_dataset,
     hill,
     run_rvr_experiment,
@@ -296,6 +298,37 @@ def test_estimate_reports_clipped_variance(tmp_path, capsys, replication,
     assert (record["variance_estimate"] == 0.0) == clipped
     line = "diagnostic: transferred_hill: variance estimate clipped at 0"
     assert (line in captured.err.splitlines()) == clipped
+
+
+def test_only_the_estimate_readers_compute_the_plug_in_variance(tmp_path, capsys):
+    # The studies keep the estimates' values alone, so they never call the
+    # plug-in; transferred_hill() and `tailcv estimate` still report it.
+    config = ExperimentConfig(gamma_t=0.25, theta=5.0, n=200, m=400, k=20,
+                              source_marginal=Marginal.pareto(0.5),
+                              replications=10, seed=3)
+    dataset = generate_dataset(config, 0)
+    path = tmp_path / "data.csv"
+    write_semi_supervised_csv(str(path), dataset)
+    calls = []
+    plug_in = SufficientStatistics.variance_difference
+
+    def spy(stats, gamma_hat):
+        calls.append(gamma_hat)
+        return plug_in(stats, gamma_hat)
+
+    with mock.patch.object(SufficientStatistics, "variance_difference", spy):
+        report = run_rvr_experiment(config, workers=1)
+        resamples = bootstrap_study(dataset, n_sub=100, resamples=10, k=10,
+                                    workers=1)
+        assert calls == []
+        assert report.summaries["transferred_hill"].failures == 0
+        assert resamples.failures["transferred_hill"] == 0
+        assert transferred_hill(dataset, config.k).variance_estimate > 0.0
+        assert len(calls) == 1
+        assert main(["estimate", "--data", str(path), "--k", "20"]) == 0
+        assert len(calls) == 2
+    record = json.loads(capsys.readouterr().out)["estimates"]["transferred_hill"]
+    assert record["variance_estimate"] > 0.0
 
 
 def test_estimate_writes_json_file(tmp_path, data_path):

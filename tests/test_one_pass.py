@@ -10,7 +10,11 @@ builds the control-variate columns (a, g, b, h, c, d) as that code did;
 ``ref_full_mean`` takes a full-sample mean over them as the package does,
 summing the coupled rows and the exceeding extras separately.
 ``threshold_at``, ``log_excess_indicators``, ``tail_dependence`` and
-``moment_from_log_moments`` kept their code and are called directly.
+``moment_from_log_moments`` kept their code and are called directly. The
+plug-in's reference (``ref_plugin``) takes its covariance entries in
+raw-sum form, as the plug-in does, adding up the source exceedances one at
+a time from the largest value down; ``deviation_plugin`` checks its digits
+against the deviation form.
 """
 
 import math
@@ -68,10 +72,11 @@ def ref_variables(ds, k, k_source):
     values, coupled first, over the threshold of the n coupled ones.
     """
     a, c = log_excess_indicators(ds.paired_target, threshold_at(ds.paired_target, k))
+    source_threshold = threshold_at(ds.paired_source, k_source)
     b, d = log_excess_indicators(
-        np.concatenate([ds.paired_source, ds.extra_source]),
-        threshold_at(ds.paired_source, k_source))
-    return SimpleNamespace(a=a, c=c, g=a * a, b=b, d=d, h=b * b, n=ds.n, m=ds.m)
+        np.concatenate([ds.paired_source, ds.extra_source]), source_threshold)
+    return SimpleNamespace(a=a, c=c, g=a * a, b=b, d=d, h=b * b, n=ds.n, m=ds.m,
+                           source=ds.paired_source, source_threshold=source_threshold)
 
 
 def ref_ratio(excess, indicator):
@@ -104,8 +109,7 @@ def ref_cov(*rows):
                      for x in deviations])
 
 
-def ref_degenerate(cov):
-    var_b, var_d, cov_bd = cov[1, 1], cov[3, 3], cov[1, 3]
+def ref_degenerate(var_b, var_d, cov_bd):
     determinant = var_b * var_d - cov_bd * cov_bd
     return determinant, (determinant <= 1e-12 * var_b * var_d
                          or abs(cov_bd) >= (1.0 - 1e-10) * np.sqrt(var_b * var_d))
@@ -115,7 +119,7 @@ def ref_coefficients(a, b, c, d, r):
     if a.size < 3:
         raise ValueError("need at least 3 coupled observations")
     cov = ref_cov(a, b, c, d)
-    determinant, degenerate = ref_degenerate(cov)
+    determinant, degenerate = ref_degenerate(cov[1, 1], cov[3, 3], cov[1, 3])
     if degenerate or r == 0.0:
         return 0.0, 0.0, True
     alpha = (cov[3, 3] * cov[0, 1] - r * cov[3, 3] * cov[1, 2]
@@ -145,14 +149,52 @@ def ref_corrected(num, num_all, den, den_all, alpha, beta):
     return float(numerator / denominator)
 
 
-def quadratic_spread(cov, s_d, s_b, b, d):
-    """Var(s_d*d - s_b*b) from the (b, d) block of the (a, b, c, d) covariance."""
-    return s_d * s_d * cov[3, 3] + s_b * s_b * cov[1, 1] - 2.0 * s_d * s_b * cov[1, 3]
+def quadratic_spread(e, s_d, s_b, b, d):
+    """Var(s_d*d - s_b*b) from the (b, d) entries."""
+    return s_d * s_d * e.var_d + s_b * s_b * e.var_b - 2.0 * s_d * s_b * e.cov_bd
 
 
-def sample_spread(cov, s_d, s_b, b, d):
+def sample_spread(e, s_d, s_b, b, d):
     """Var(s_d*d - s_b*b) by its definition, over the n coupled rows."""
     return float(np.var(s_d * d - s_b * b, ddof=1))
+
+
+def ref_prefix_entries(v):
+    """The seven (a, b, c, d) covariance entries the plug-in reads, raw-sum form.
+
+    Sums run over the coupled source exceedances one at a time, from the
+    largest value down (ties in row order), with each log taken less the
+    log of the largest value. With T the threshold's log taken the same
+    way and j the exceedance count, b = (L - T) d gives Σb = ΣL - jT,
+    Σb² = ΣL² - 2TΣL + jT², Σab = Σ(aL) - TΣa and Σbc = Σ(cL) - TΣc; then
+    Cov(x, y) = (Σxy - Σx mean(y)) / (n - 1).
+    """
+    n = v.n
+    rows = sorted(np.flatnonzero(v.d[:n]), key=lambda row: -v.source[row])
+    logs = np.log(v.source[rows])
+    origin = logs[0] if rows else 0.0
+    sum_l = sum_ll = sum_a = sum_al = sum_c = sum_cl = 0.0
+    for row, log in zip(rows, logs - origin):
+        a, c = v.a[row], v.c[row]
+        sum_l += log
+        sum_ll += log * log
+        sum_a += a
+        sum_al += a * log
+        sum_c += c
+        sum_cl += c * log
+    t, j = np.log(v.source_threshold) - origin, len(rows)
+    mean_a, mean_c = v.a.mean(), v.c.mean()
+    sum_b = sum_l - j * t
+    sum_bb = sum_ll - 2.0 * t * sum_l + j * t * t
+    scale = 1 / (n - 1)
+    return SimpleNamespace(
+        var_b=(sum_bb - sum_b * (sum_b / n)) * scale,
+        var_d=(j - j * (j / n)) * scale,
+        cov_bd=(sum_b - sum_b * (j / n)) * scale,
+        cov_ab=(sum_al - t * sum_a - sum_b * mean_a) * scale,
+        cov_ad=(sum_a - j * mean_a) * scale,
+        cov_bc=(sum_cl - t * sum_c - sum_b * mean_c) * scale,
+        cov_cd=(sum_c - j * mean_c) * scale)
 
 
 def ref_plugin(v, gamma, spread=quadratic_spread):
@@ -161,14 +203,25 @@ def ref_plugin(v, gamma, spread=quadratic_spread):
     mean_c = v.c.mean()
     if mean_c == 0.0:
         raise EstimationError("no exceedances")
-    cov = ref_cov(v.a, b, v.c, d)
-    determinant, degenerate = ref_degenerate(cov)
+    e = ref_prefix_entries(v)
+    determinant, degenerate = ref_degenerate(e.var_b, e.var_d, e.cov_bd)
     if degenerate:
         raise EstimationError("degenerate control variate")
+    s_d = gamma * e.cov_bc - e.cov_ab
+    s_b = gamma * e.cov_cd - e.cov_ad
+    return float(m / (n * (n + m)) * spread(e, s_d, s_b, b, d)
+                 / (mean_c * mean_c * determinant))
+
+
+def deviation_plugin(v, gamma):
+    """The plug-in from the deviation-form covariance of the (a, b, c, d) columns."""
+    n, m = v.n, v.m
+    cov = ref_cov(v.a, v.b[:n], v.c, v.d[:n])
+    determinant = cov[1, 1] * cov[3, 3] - cov[1, 3] * cov[1, 3]
     s_d = gamma * cov[1, 2] - cov[0, 1]
     s_b = gamma * cov[2, 3] - cov[0, 3]
-    return float(m / (n * (n + m)) * spread(cov, s_d, s_b, b, d)
-                 / (mean_c * mean_c * determinant))
+    spread = s_d * s_d * cov[3, 3] + s_b * s_b * cov[1, 1] - 2.0 * s_d * s_b * cov[1, 3]
+    return float(m / (n * (n + m)) * spread / (v.c.mean() ** 2 * determinant))
 
 
 def ref_transferred_hill(v):
@@ -178,7 +231,10 @@ def ref_transferred_hill(v):
     value = ref_corrected(v.a, v.b, v.c, v.d, alpha, beta)
     variance = r * r / k_eff
     if not degenerate:
-        variance -= ref_plugin(v, r)
+        try:
+            variance -= ref_plugin(v, r)
+        except EstimationError:  # singular in the plug-in's entries alone
+            pass
     return value, max(variance, 0.0)
 
 
@@ -407,6 +463,25 @@ def test_plug_in_spread_on_theta5_replications(theta5_config):
             expected = ref_plugin(ref_variables(dataset, k, l), gamma, sample_spread)
             assert value > 0.0
             assert math.isclose(value, expected, rel_tol=1e-12), (index, l)
+
+
+@pytest.mark.parametrize("scale, offset", [(1e6, 0.0), (1e-6, 0.0), (1e-3, 1e3),
+                                           (1e-6, 1e3)])
+def test_plug_in_keeps_its_digits_far_from_one(theta5_config, scale, offset):
+    # The raw sums take each log less the log of the largest value, so Σb²
+    # does not cancel j (ln t)² against ΣL² when the source sits far from 1.
+    k = theta5_config.k
+    for index in range(5):
+        dataset = generate_dataset(theta5_config, index)
+        moved = SemiSupervisedDataset(dataset.paired_target,
+                                      offset + scale * dataset.paired_source,
+                                      offset + scale * dataset.extra_source)
+        gamma = hill(moved.paired_target, k).value
+        for l in (20, 100, 400):
+            value = SufficientStatistics.of(moved, k, l).variance_difference(gamma)
+            expected = deviation_plugin(ref_variables(moved, k, l), gamma)
+            assert math.isclose(value, expected, rel_tol=1e-10), (index, l)
+        assert transferred_hill(moved, k).variance_estimate > 0.0
 
 
 @given(datasets())

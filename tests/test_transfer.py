@@ -11,6 +11,7 @@ from tailcv import (
     Marginal,
     Method,
     SemiSupervisedDataset,
+    SufficientStatistics,
     build_cv_variables,
     generate_dataset,
     hill,
@@ -157,6 +158,51 @@ def test_a_power_of_the_target_scales_both_hill_estimates(case, power):
                 estimate(powered)
             continue
         assert math.isclose(estimate(powered).value, power * value, rel_tol=1e-10)
+
+
+def near_singular_dataset(spread):
+    """Eight source exceedances of 1.0, log-excesses 0.5 apart by up to ``spread``.
+
+    As ``spread`` shrinks, b nears a multiple of d over the coupled rows and
+    corr(b, d) nears the ceiling past which the controls count as singular.
+    """
+    rng = np.random.default_rng(1)
+    target = 1.0 + rng.pareto(2.0, 40)
+    above = np.exp(0.5 * (1.0 + spread * rng.random(8)))
+    below = 0.2 + 0.8 * rng.random(32)
+    below[-1] = 1.0  # the source threshold at k_source = 8
+    return SemiSupervisedDataset(target, np.concatenate([above, below]),
+                                 np.full(5, 2.0))
+
+
+def test_controls_singular_in_the_plug_in_alone_report_the_baseline_variance():
+    # The coefficients read the deviation-form covariance, the plug-in its
+    # raw-sum entries. A rounding apart, they can disagree within a few 1e-6
+    # (relative) of the spread where the controls turn singular: there the
+    # plug-in can raise where the coefficients are not degenerate.
+    def singular(spread):
+        stats = SufficientStatistics.of(near_singular_dataset(spread), 10, 8)
+        coefficients = stats.coefficients(1, 0.5).degenerate
+        try:
+            stats.variance_difference(0.5)
+        except EstimationError as error:
+            assert str(error) == "degenerate control variate"
+            return coefficients, True
+        return coefficients, False
+
+    low, high = 1e-9, 1e-1  # the coefficients are singular at low only
+    for _ in range(60):
+        middle = math.sqrt(low * high)
+        low, high = (middle, high) if singular(middle)[0] else (low, middle)
+    spreads = [spread for spread in low * (1.0 + 1e-9 * np.arange(-6000, 6001, 5))
+               if singular(spread) == (False, True)]
+    assert spreads
+    for spread in spreads:
+        dataset = near_singular_dataset(spread)
+        estimate = transferred_hill(dataset, 10, 8)
+        assert not estimate.coefficients.degenerate
+        assert (estimate.variance_estimate
+                == hill(dataset.paired_target, 10).variance_estimate)
 
 
 # -------------------------------------------------------------- estimation
