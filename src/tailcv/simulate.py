@@ -123,16 +123,24 @@ class Marginal:
         return -1.0 / self.shape_b
 
     def quantile(self, u):
-        """Quantile function at u in (0, 1); accepts arrays."""
+        """Quantile function at u in (0, 1); accepts arrays.
+
+        Checks that every u lies strictly inside (0, 1), then applies the
+        family's formula (``_quantile``).
+        """
         arr = np.asarray(u, dtype=float)
         if arr.size and not (np.min(arr) > 0.0 and np.max(arr) < 1.0):
             raise ValueError("u must lie strictly inside (0, 1)")
+        return self._quantile(arr)
+
+    def _quantile(self, u: np.ndarray) -> np.ndarray:
+        """The family's quantile formula on a float array, unchecked."""
         if self.family == "pareto":
-            return self.y_m * (1.0 - arr) ** (-self.gamma)
+            return self.y_m * (1.0 - u) ** (-self.gamma)
         if self.family == "normal":
             from scipy.special import ndtri  # loaded by normal marginals only
-            return ndtri(arr)
-        return 1.0 - (1.0 - arr) ** (1.0 / self.shape_b)
+            return ndtri(u)
+        return 1.0 - (1.0 - u) ** (1.0 / self.shape_b)
 
     def cdf(self, y):
         """Distribution function (used by round-trip checks)."""
@@ -202,12 +210,15 @@ def sample_gumbel_copula(theta: float, count: int,
 
 
 def _open_unit(u: np.ndarray) -> np.ndarray:
-    """Uniforms clipped into [tiny, 1 - 2**-53], strictly inside (0, 1).
+    """Uniforms clipped in place into [tiny, 1 - 2**-53], strictly inside (0, 1).
 
-    Only values outside that range move. ``Generator.random`` returns 0.0 with
-    probability 2**-53 per draw, and ``Marginal.quantile`` rejects it.
+    Only values outside that range move, and NaN stays NaN, as with
+    ``np.clip``; ``u`` itself is returned. ``Generator.random`` returns 0.0
+    with probability 2**-53 per draw, and the quantile formulas need
+    ``0 < u < 1``, so generation applies them to these uniforms unchecked.
     """
-    return np.clip(u, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
+    np.maximum(u, np.finfo(float).tiny, out=u)
+    return np.minimum(u, np.nextafter(1.0, 0.0), out=u)
 
 
 def _normalize_estimators(estimators) -> tuple[Method, ...]:
@@ -295,8 +306,8 @@ def _coupled_pairs(config: ExperimentConfig, replication_index: int) -> tuple:
     """The n coupled (target, source) values of one replication (role 0)."""
     rng = _stream(config.seed, replication_index, _ROLE_COUPLED)
     u_target, u_source = sample_gumbel_copula(config.theta, config.n, rng)
-    return (config.target_marginal.quantile(u_target),
-            config.source_marginal.quantile(u_source))
+    return (config.target_marginal._quantile(u_target),
+            config.source_marginal._quantile(u_source))
 
 
 def generate_dataset(config: ExperimentConfig,
@@ -310,7 +321,7 @@ def generate_dataset(config: ExperimentConfig,
     extra = np.empty(0)
     if config.m > 0:
         rng_extra = _stream(config.seed, replication_index, _ROLE_EXTRA)
-        extra = config.source_marginal.quantile(_open_unit(rng_extra.random(config.m)))
+        extra = config.source_marginal._quantile(_open_unit(rng_extra.random(config.m)))
     return SemiSupervisedDataset(*_coupled_pairs(config, replication_index), extra)
 
 
@@ -520,9 +531,11 @@ class ThresholdScanPoint:
 def _scan_replication(config: ExperimentConfig, l_values: tuple,
                       replication_index: int) -> np.ndarray:
     # No extra source value is drawn: m enters the plug-in only as a count.
-    # After one sort of the coupled source, largest first, each threshold's
-    # exceedances are a prefix, so one pass of prefix sums gives the seven
-    # covariance entries the plug-in reads at every l.
+    # Sorted largest first, each threshold's exceedances are a prefix, so one
+    # pass of prefix sums gives the seven covariance entries the plug-in reads
+    # at every l. Only the rows at or above the (l_max + 1)-th largest value
+    # are sorted: in row order, with the stable rule, they are the first rows
+    # of the full order, so every cell has the bits a full sort gives.
     pairs = SemiSupervisedDataset(*_coupled_pairs(config, replication_index))
     out = np.full(len(l_values), np.nan)
     try:
@@ -531,9 +544,12 @@ def _scan_replication(config: ExperimentConfig, l_values: tuple,
     except EstimationError:
         return out
     source = pairs.paired_source
-    order = _descending_order(source)
+    l_index = np.asarray(l_values)
+    cut = source.size - 1 - l_index.max()
+    rows = np.flatnonzero(source >= np.partition(source, cut)[cut])
+    order = rows[_descending_order(source[rows])]
     ranked = source[order]
-    thresholds = ranked[np.asarray(l_values)]
+    thresholds = ranked[l_index]
     positive = np.flatnonzero(thresholds > 0)
     thresholds = thresholds[positive]
     # The count strictly above each threshold: below l where values tie.
@@ -581,11 +597,10 @@ def source_threshold_scan(config: ExperimentConfig, l_values,
     for j in np.flatnonzero(~whole & finite.any(axis=1)):
         quartiles[:, j] = np.percentile(columns[j, finite[j]], _QUARTILES)
     negative = np.count_nonzero(finite & (columns < 0), axis=1)
-    return tuple(
-        ThresholdScanPoint(l=l, median=float(quartiles[1, j]),
-                           q1=float(quartiles[0, j]), q3=float(quartiles[2, j]),
-                           negative_count=int(negative[j]), failed=int(failed[j]))
-        for j, l in enumerate(l_tuple))
+    q1, median, q3 = quartiles.tolist()
+    # Positional, in ThresholdScanPoint's field order.
+    return tuple(map(ThresholdScanPoint, l_tuple, median, q1, q3,
+                     negative.tolist(), failed.tolist()))
 
 
 @dataclass(frozen=True)

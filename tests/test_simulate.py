@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -31,7 +31,13 @@ from tailcv import (
     build_cv_variables,
     variance_difference_plugin,
 )
-from tailcv.simulate import _ROLE_COUPLED, _ROLE_EXTRA, _scan_replication, _stream
+from tailcv.simulate import (
+    _ROLE_COUPLED,
+    _ROLE_EXTRA,
+    _open_unit,
+    _scan_replication,
+    _stream,
+)
 
 
 # ---------------------------------------------------------------- marginals
@@ -128,6 +134,36 @@ def test_copula_outputs_in_open_interval():
         u1, u2 = sample_gumbel_copula(theta, 10_000, rng)
         for u in (u1, u2):
             assert u.min() > 0.0 and u.max() < 1.0
+
+
+def test_open_unit_clips_in_place_with_the_bits_of_np_clip():
+    tiny = np.finfo(float).tiny
+    values = [0.0, 5e-324, tiny, 0.5, 1.0 - 2.0 ** -53, 1.0, np.nan]
+    expected = np.clip(np.array(values), tiny, np.nextafter(1.0, 0.0))
+    u = np.array(values)
+    assert _open_unit(u) is u
+    assert u.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("gamma_s", [0.5, 0.0, -0.25])
+def test_generation_has_the_bits_of_the_checked_quantile(gamma_s):
+    # Generation applies the quantile formula unchecked to clipped uniforms.
+    config = ExperimentConfig(gamma_t=0.25, theta=5.0, n=300, m=200,
+                              source_marginal=marginal_for_evi(gamma_s),
+                              replications=2, seed=9)
+    dataset = generate_dataset(config, 1)
+    u_target, u_source = sample_gumbel_copula(
+        config.theta, config.n, _stream(config.seed, 1, _ROLE_COUPLED))
+    u_extra = np.clip(_stream(config.seed, 1, _ROLE_EXTRA).random(config.m),
+                      np.finfo(float).tiny, np.nextafter(1.0, 0.0))
+    for values, marginal, u in (
+            (dataset.paired_target, config.target_marginal, u_target),
+            (dataset.paired_source, config.source_marginal, u_source),
+            (dataset.extra_source, config.source_marginal, u_extra)):
+        assert values.tobytes() == marginal.quantile(u).tobytes()
+    for edge in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
+            config.source_marginal.quantile(edge)
 
 
 def test_copula_independence_at_theta_one():
@@ -462,18 +498,57 @@ def coupled_samples(draw):
     return dataset, draw(st.integers(min_value=1, max_value=n - 1))
 
 
-@given(coupled_samples())
-def test_scan_cells_equal_the_public_plug_in(case):
-    dataset, k = case
+def assert_scan_cells_equal_the_public_plug_in(dataset, k, l_values):
     config = ExperimentConfig(gamma_t=0.5, theta=2.0, n=dataset.n, m=dataset.m,
                               source_marginal=Marginal.pareto(1.0), k=k,
                               replications=1)
-    l_values = tuple(range(1, dataset.n))
     with mock.patch("tailcv.simulate._coupled_pairs",
                     return_value=(dataset.paired_target, dataset.paired_source)):
         cells = _scan_replication(config, l_values, 0)
     assert cell_bits(cells) == cell_bits(
         [public_scan_cell(dataset, k, l) for l in l_values])
+
+
+@given(coupled_samples())
+def test_scan_cells_equal_the_public_plug_in(case):
+    dataset, k = case
+    assert_scan_cells_equal_the_public_plug_in(dataset, k,
+                                               tuple(range(1, dataset.n)))
+
+
+@st.composite
+def scan_subsets(draw):
+    """A coupled sample, k and l values, any order, all below n - 1.
+
+    With l_max < n - 1 the scan sorts only the rows at or above its
+    (l_max + 1)-th largest source value. A quarter of the sources are one
+    repeated value.
+    """
+    dataset, k = draw(coupled_samples())
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        dataset = SemiSupervisedDataset(
+            dataset.paired_target, np.full(dataset.n, draw(levels)),
+            dataset.extra_source)
+    l_values = draw(st.lists(st.integers(min_value=1, max_value=dataset.n - 2),
+                             min_size=1, max_size=8))
+    return dataset, k, tuple(l_values)
+
+
+def hand_scan_case(source, l_values):
+    target = np.arange(1.0, len(source) + 1.0)
+    return (SemiSupervisedDataset(target, np.array(source), np.ones(4)), 3,
+            l_values)
+
+
+@given(scan_subsets())
+# One source value throughout.
+@example(hand_scan_case([2.0] * 7, (1, 3)))
+# ranked = [3, 2, 1, 1, 1, 1, 0.5]: ranked[l_max] ties with rows after it.
+@example(hand_scan_case([1.0, 3.0, 1.0, 2.0, 1.0, 0.5, 1.0], (2, 1)))
+# ranked = [2, 1, 0, 0, -1, -1, -1]: thresholds at and below 0, tied.
+@example(hand_scan_case([-1.0, 0.0, 2.0, -1.0, 0.0, -1.0, 1.0], (4, 1, 2, 3)))
+def test_scan_cells_over_some_l_equal_the_public_plug_in(case):
+    assert_scan_cells_equal_the_public_plug_in(*case)
 
 
 def test_scan_draws_only_the_coupled_pairs():
