@@ -95,16 +95,11 @@ def moment_statistics(*sequences) -> MomentStatistics:
 def _moments(rows, means: np.ndarray) -> MomentStatistics:
     """``moment_statistics`` of the rows, given their means."""
     dev = np.asarray(rows) - means[:, None]
-    return MomentStatistics(means, _covariance(dev[:, None], dev[None]), dev.shape[1])
-
-
-def _covariance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Covariance entries (n-1 divisor) of centred rows, broadcast over leading axes.
-
-    Each entry sums the products of its own two rows without BLAS, so it has
-    the same bits alone, in a block over l or in a matrix, on any kernel.
-    """
-    return np.einsum("...k,...k->...", x, y) * (1 / (x.shape[-1] - 1))
+    count = dev.shape[1]
+    # Each entry sums the products of its own two rows without BLAS, so the
+    # matrix has the same bits on any kernel.
+    products = np.einsum("...k,...k->...", dev[:, None], dev[None])
+    return MomentStatistics(means, products * (1 / (count - 1)), count)
 
 
 def cv_coefficient(a, b) -> float:

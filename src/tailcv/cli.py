@@ -285,9 +285,7 @@ def _cmd_simulate(args) -> int:
     report = run_rvr_experiment(config, workers=_workers())
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "rvr_report.json")
-    with open(report_path, "w") as handle:
-        json.dump(report.to_dict(), handle, indent=2)
-        handle.write("\n")
+    _write_text(report_path, json.dumps(report.to_dict(), indent=2) + "\n")
     rows = []
     for replication in range(report.replications):
         for method in config.estimators:

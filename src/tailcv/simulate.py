@@ -587,16 +587,16 @@ def source_threshold_scan(config: ExperimentConfig, l_values,
         raise ValueError("l_values must be non-empty")
     columns, failed = _columns(_map_replications(
         partial(_scan_replication, config, l_tuple), config.replications, workers))
-    finite = np.isfinite(columns)
-    # One call for the columns without failed cells; any other column takes
-    # the percentile of its finite cells alone.
+    # As NaN a failed cell sorts last, so a column's first `count` cells are
+    # its finite ones, and the columns that share a count share one call.
+    columns[~np.isfinite(columns)] = np.nan
+    columns.sort(axis=1)
+    counts = columns.shape[1] - failed
     quartiles = np.full((3, len(l_tuple)), np.nan)
-    whole = failed == 0
-    if whole.any():
-        quartiles[:, whole] = np.percentile(columns[whole], _QUARTILES, axis=1)
-    for j in np.flatnonzero(~whole & finite.any(axis=1)):
-        quartiles[:, j] = np.percentile(columns[j, finite[j]], _QUARTILES)
-    negative = np.count_nonzero(finite & (columns < 0), axis=1)
+    for count in np.unique(counts[counts > 0]):
+        same = counts == count
+        quartiles[:, same] = np.percentile(columns[same, :count], _QUARTILES, axis=1)
+    negative = np.count_nonzero(columns < 0, axis=1)
     q1, median, q3 = quartiles.tolist()
     # Positional, in ThresholdScanPoint's field order.
     return tuple(map(ThresholdScanPoint, l_tuple, median, q1, q3,

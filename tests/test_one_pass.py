@@ -484,6 +484,32 @@ def test_plug_in_keeps_its_digits_far_from_one(theta5_config, scale, offset):
         assert transferred_hill(moved, k).variance_estimate > 0.0
 
 
+def tied_source_dataset():
+    """80 shuffled coupled rows, 40 of their sources tied at 5.0.
+
+    The other sources are 15 distinct values in 6..20 and 25 below 1. The
+    distinct Pareto targets rank with the sources, so 5 of the k = 20
+    target exceedances sit on tied rows.
+    """
+    rng = np.random.default_rng(3)
+    source = np.concatenate([np.sort(rng.uniform(6.0, 20.0, 15))[::-1],
+                             np.full(40, 5.0),
+                             np.sort(rng.uniform(0.0, 1.0, 25))[::-1]])
+    target = np.sort(rng.pareto(2.0, 80))[::-1] + 1.0
+    rows = rng.permutation(80)
+    return SemiSupervisedDataset(target[rows], source[rows], np.ones(400))
+
+
+def test_plug_in_sums_tied_sources_in_row_order():
+    # Σa and Σ(aL) over the tied rows have these bits only in row order, the
+    # order of the oracle's stable sort, so an unstable sort fails here.
+    dataset = tied_source_dataset()
+    gamma = hill(dataset.paired_target, 20).value
+    for l in (61, 64, 69, 74):
+        value = SufficientStatistics.of(dataset, 20, l).variance_difference(gamma)
+        assert value == ref_plugin(ref_variables(dataset, 20, l), gamma), l
+
+
 @given(datasets())
 def test_estimates_and_diagnostics_are_finite_or_raise(case):
     dataset, k, k_source = case
