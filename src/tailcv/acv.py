@@ -19,9 +19,9 @@ from .core import (
     Exceedances,
     SemiSupervisedDataset,
     _descending_order,
-    _integer,
     _order_statistic,
     _prefix_sums,
+    _validated_k,
     exceedances,
     order_statistics,
 )
@@ -197,8 +197,7 @@ def _variance_differences(sums, count, log_threshold, target_means,
     exceedances of a threshold whose log, less the sums' origin, is
     ``log_threshold``; all three are scalars or arrays over l. With
     b = (L - log_threshold) * d over the n coupled rows, the seven entries
-    are Cov(x, y) = (Σxy - Σx * mean(y)) / (n - 1). Returns the values and
-    the degenerate flags; a degenerate value is NaN.
+    are Cov(x, y) = (Σxy - Σx * mean(y)) / (n - 1). A degenerate value is NaN.
     """
     sum_l, sum_ll, sum_a, sum_al, sum_c, sum_cl = sums
     mean_a, _, mean_c = target_means
@@ -214,14 +213,14 @@ def _variance_differences(sums, count, log_threshold, target_means,
     cov_bc = (sum_cl - log_threshold * sum_c - sum_b * mean_c) * scale
     cov_cd = (sum_c - count * mean_c) * scale
     determinant = var_b * var_d - cov_bd * cov_bd
-    degenerate = _degenerate(var_b, var_d, cov_bd, determinant)
     # Every other determinant is positive, so nothing divides by zero.
-    determinant = np.where(degenerate, np.nan, determinant)
+    determinant = np.where(_degenerate(var_b, var_d, cov_bd, determinant),
+                           np.nan, determinant)
     s_d = gamma_hat * cov_bc - cov_ab
     s_b = gamma_hat * cov_cd - cov_ad
     # Var(s_d*d - s_b*b) as the quadratic form of the (b, d) covariance block.
     spread = s_d * s_d * var_d + s_b * s_b * var_b - 2.0 * s_d * s_b * cov_bd
-    return m / (n * (n + m)) * spread / (mean_c * mean_c * determinant), degenerate
+    return m / (n * (n + m)) * spread / (mean_c * mean_c * determinant)
 
 
 # Rows of the control covariance: target log-excess a and its square g,
@@ -237,10 +236,10 @@ class SufficientStatistics:
     one control covariance, which the variance plug-in and the correlations
     read too, so each replication, resample or data file builds this once:
     ``target`` and ``source`` (one sort each; ``source`` is None without a
-    source sample or with an invalid k_source), ``moments`` of (a, g, b, h,
-    c, d) over the n coupled rows, from the sides' means, and ``lambda_hat``,
-    the joint exceedance frequency at k (None unless built by ``of``). ``moments`` is
-    None when a side has no log-excesses, the source is absent or n < 3;
+    source sample), ``moments`` of (a, g, b, h, c, d) over the n coupled
+    rows, from the sides' means, and ``lambda_hat``, the joint exceedance
+    frequency at k (None unless built by ``of``). ``moments`` is None when a
+    side has no log-excesses, the source is absent or n < 3;
     ``missing`` then says why, and ``covariance`` raises it. The m extra
     source values enter only through ``source.m`` and ``source.full_means``.
     """
@@ -248,12 +247,10 @@ class SufficientStatistics:
     target: Exceedances
     source: Exceedances | None = None
     lambda_hat: float | None = None
-    missing: str | None = None
+    missing: str | None = field(init=False, default=None)
     moments: MomentStatistics | None = field(init=False, default=None)
 
     def __post_init__(self):
-        if self.missing is not None:
-            return
         target, source = self.target, self.source
         if source is None:
             missing = "no source sample"
@@ -272,23 +269,20 @@ class SufficientStatistics:
     @classmethod
     def of(cls, dataset: SemiSupervisedDataset, k: int,
            k_source: int | None = None) -> "SufficientStatistics":
-        """Build from a dataset; raises for an invalid k or a non-integer k_source."""
+        """Build from a dataset; ``core._validated_k`` checks k and k_source."""
         return cls._of_pool(dataset.paired_target, dataset.paired_source,
                             (dataset.extra_source,), k, k_source)
 
     @classmethod
     def _of_pool(cls, paired_target, paired_source, extra: tuple, k, k_source):
         """``of`` reading validated pool slices in place, the extras in pieces."""
+        k, k_source = _validated_k(k, k_source, paired_target.size)
         target = exceedances(paired_target, k)
-        k_source = target.k if k_source is None else _integer(k_source, "k_source")
         ordered = order_statistics(paired_source)
-        above = paired_source > _order_statistic(ordered, target.k)
+        above = paired_source > _order_statistic(ordered, k)
         lambda_hat = float(np.count_nonzero(np.logical_and(target.indicator, above))
-                           / target.k)
-        try:
-            source = exceedances(paired_source, k_source, extra=extra, ordered=ordered)
-        except EstimationError as error:
-            return cls(target, None, lambda_hat, str(error))
+                           / k)
+        source = exceedances(paired_source, k_source, extra=extra, ordered=ordered)
         return cls(target, source, lambda_hat)
 
     @property
@@ -335,8 +329,7 @@ class SufficientStatistics:
         whole coupled source in that order, so a threshold scan reads the
         same sums, with the same bits, from one sort for every l.
         """
-        if self.moments is None:
-            raise EstimationError(self.missing)
+        self.covariance  # raises EstimationError when the moments are missing
         target, source = self.target, self.source
         if target.means[2] == 0.0:
             raise EstimationError("no exceedances")
@@ -344,10 +337,10 @@ class SufficientStatistics:
         rows = rows[_descending_order(source.values[rows])]
         origin, sums = _prefix_sums(source.values[rows], target.excess[rows],
                                     target.indicator[rows])
-        value, degenerate = _variance_differences(
+        value = _variance_differences(
             sums[:, -1], rows.size, np.log(source.threshold) - origin,
             target.means, gamma_hat, self.n, source.m)
-        if degenerate:
+        if np.isnan(value):
             raise EstimationError("degenerate control variate")
         return float(value)
 

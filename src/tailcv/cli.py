@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import math
@@ -29,14 +30,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .acv import SufficientStatistics
-from .core import EstimationError, Method, SemiSupervisedDataset, _json_fields
+from .core import (
+    EstimationError,
+    Method,
+    SemiSupervisedDataset,
+    _json_fields,
+    _validated_k,
+)
 from .dependence import _dependence_report
 from .estimators import hill_plot
 from .simulate import (
     DEFAULT_ESTIMATORS,
     ExperimentConfig,
     _normalize_estimators,
-    _validated_k,
     bootstrap_study,
     marginal_for_evi,
     run_rvr_experiment,
@@ -205,17 +211,16 @@ def _cmd_estimate(args) -> int:
     else:
         methods = tuple(method for method in DEFAULT_ESTIMATORS
                         if dataset.m >= 1 or not method.is_transferred)
-    # Rejected first, as ExperimentConfig rejects it: an estimator that never
-    # reads the source would not notice an invalid k_source. With --methods
+    # The one k rule, applied before the statistics are built. With --methods
     # the error names the first method, as an estimator's failure does.
     try:
-        _validated_k(args.k, args.k_source, dataset.n)
+        k, k_source = _validated_k(args.k, args.k_source, dataset.n)
     except ValueError as exc:
         if not explicit:
             raise
         print(f"error: {methods[0].value}: {exc}", file=sys.stderr)
         return 1
-    stats = SufficientStatistics.of(dataset, args.k, args.k_source)
+    stats = SufficientStatistics.of(dataset, k, k_source)
     estimates = {}
     for method in methods:
         try:
@@ -245,8 +250,8 @@ def _cmd_estimate(args) -> int:
     payload = {
         "n": dataset.n,
         "m": dataset.m,
-        "k": args.k,
-        "k_source": args.k_source if args.k_source is not None else args.k,
+        "k": k,
+        "k_source": k_source,
         "estimates": estimates,
         "dependence": dependence,
     }
@@ -268,16 +273,11 @@ def _workers() -> int:
 
 
 def _write_csv(path: str | None, header, rows) -> None:
-    def render(out):
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-    if path is None:
-        render(sys.stdout)
-    else:
-        with open(path, "w", newline="") as handle:
-            render(handle)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_text(path, text.getvalue())
 
 
 def _cmd_simulate(args) -> int:
@@ -324,9 +324,10 @@ def _cmd_rvr_sweep(args) -> int:
     if not values:
         raise ValueError("empty --values list")
     workers = _workers()
+    # Every point is checked before the first study runs.
+    points = [_config_with(config, args.vary, value) for value in values]
     rows = []
-    for value in values:
-        point = _config_with(config, args.vary, value)
+    for value, point in zip(values, points):
         report = run_rvr_experiment(point, workers=workers)
         for pair in report.pairs:
             rows.append([

@@ -93,15 +93,12 @@ class Method(Enum):
 
     @property
     def is_transferred(self) -> bool:
-        return self in (Method.TRANSFERRED_HILL, Method.TRANSFERRED_MOMENT)
+        return self.value.startswith("transferred_")
 
     @property
     def baseline(self) -> "Method":
-        """The untransferred counterpart of a transferred method."""
-        return {
-            Method.TRANSFERRED_HILL: Method.HILL,
-            Method.TRANSFERRED_MOMENT: Method.MOMENT,
-        }.get(self, self)
+        """The untransferred counterpart: the value less "transferred_"."""
+        return Method(self.value.removeprefix("transferred_"))
 
 
 @dataclass(frozen=True)
@@ -206,6 +203,13 @@ def _valid_k(k, n: int, name: str = "k") -> int:
     if not 1 <= k <= n - 1:
         raise EstimationError("invalid k")
     return k
+
+
+def _validated_k(k, k_source, n: int) -> tuple[int, int]:
+    """k and k_source (k when None), both checked as integers before either range."""
+    k = _integer(k, "k")
+    k_source = k if k_source is None else _integer(k_source, "k_source")
+    return _valid_k(k, n), _valid_k(k_source, n)
 
 
 def _order_statistic(ordered: np.ndarray, k: int) -> float:

@@ -28,6 +28,7 @@ from .core import (
     _json_fields,
     _prefix_sums,
     _valid_k,
+    _validated_k,
     exceedances,
 )
 from .dependence import _DIAGNOSTICS, DependenceReport, _diagnostics, _report
@@ -55,8 +56,7 @@ _ROLE_COUPLED = 0
 _ROLE_EXTRA = 1
 _ROLE_BOOTSTRAP = 2
 
-DEFAULT_ESTIMATORS = (Method.HILL, Method.MOMENT,
-                      Method.TRANSFERRED_HILL, Method.TRANSFERRED_MOMENT)
+DEFAULT_ESTIMATORS = tuple(Method)
 
 
 def _stream(seed: int, index: int, role: int) -> np.random.Generator:
@@ -67,6 +67,9 @@ def _stream(seed: int, index: int, role: int) -> np.random.Generator:
 
 # The parameters each marginal family reads.
 _FAMILY_PARAMETERS = {"pareto": ("gamma", "y_m"), "normal": (), "beta": ("shape_b",)}
+
+# The largest uniform that generation draws, 1 - 2**-53 (see ``_open_unit``).
+_LARGEST_UNIFORM = math.nextafter(1.0, 0.0)
 
 
 def _check_finite(instance, names) -> None:
@@ -84,7 +87,8 @@ class Marginal:
     ``y_m`` (cdf 1 - (y/y_m)**(-1/gamma) written with the index as the
     quantile exponent: quantile y_m*(1-u)**(-gamma)); "normal" for the
     standard normal (index 0); "beta" for Beta(1, shape_b) with quantile
-    1 - (1-u)**(1/shape_b) and index -1/shape_b.
+    1 - (1-u)**(1/shape_b) and index -1/shape_b. A Pareto must have a finite
+    quantile at 1 - 2**-53, the largest uniform that generation draws.
     """
 
     family: str
@@ -96,8 +100,17 @@ class Marginal:
         if self.family not in _FAMILY_PARAMETERS:
             raise ValueError(f"unknown marginal family '{self.family}'")
         _check_finite(self, _FAMILY_PARAMETERS[self.family])
-        if self.family == "pareto" and (self.gamma <= 0 or self.y_m <= 0):
-            raise ValueError("pareto marginal needs gamma > 0 and y_m > 0")
+        if self.family == "pareto":
+            if self.gamma <= 0 or self.y_m <= 0:
+                raise ValueError("pareto marginal needs gamma > 0 and y_m > 0")
+            try:
+                # As ``_quantile`` evaluates it: the power first, then y_m.
+                largest = self.y_m * (1.0 - _LARGEST_UNIFORM) ** (-self.gamma)
+            except OverflowError:
+                largest = math.inf
+            if not math.isfinite(largest):
+                raise ValueError("pareto marginal overflows: its quantile at "
+                                 "u = 1 - 2**-53 is not finite")
         if self.family == "beta" and self.shape_b <= 0:
             raise ValueError("beta marginal needs shape_b > 0")
 
@@ -218,7 +231,7 @@ def _open_unit(u: np.ndarray) -> np.ndarray:
     ``0 < u < 1``, so generation applies them to these uniforms unchecked.
     """
     np.maximum(u, np.finfo(float).tiny, out=u)
-    return np.minimum(u, np.nextafter(1.0, 0.0), out=u)
+    return np.minimum(u, _LARGEST_UNIFORM, out=u)
 
 
 def _normalize_estimators(estimators) -> tuple[Method, ...]:
@@ -243,13 +256,6 @@ def _seed(value) -> int:
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must be a 64-bit unsigned integer")
     return seed
-
-
-def _validated_k(k, k_source, n: int) -> tuple[int, int]:
-    """k and k_source (k when None), both checked as integers before either range."""
-    k = _integer(k, "k")
-    k_source = k if k_source is None else _integer(k_source, "k_source")
-    return _valid_k(k, n), _valid_k(k_source, n)
 
 
 @dataclass(frozen=True)
@@ -290,6 +296,7 @@ class ExperimentConfig:
             raise ValueError("y_m must be positive")
         if self.replications < 1:
             raise ValueError("replications must be positive")
+        self.target_marginal  # rejects a target quantile that overflows
         k = max(1, round(0.1 * self.n)) if self.k is None else self.k
         k, k_source = _validated_k(k, self.k_source, self.n)
         object.__setattr__(self, "k", k)
@@ -491,9 +498,10 @@ def run_rvr_experiment(config: ExperimentConfig, workers: int = 1) -> RvrReport:
             bias=mean - config.gamma_t, failures=failures,
         )
     pairs = []
-    for transferred in (Method.TRANSFERRED_HILL, Method.TRANSFERRED_MOMENT):
+    for transferred in Method:
         baseline = transferred.baseline
-        if transferred in config.estimators and baseline in config.estimators:
+        if (transferred.is_transferred and transferred in config.estimators
+                and baseline in config.estimators):
             variance_baseline = summaries[baseline.value].variance
             variance_transferred = summaries[transferred.value].variance
             rvr = (variance_baseline - variance_transferred) / variance_baseline
@@ -557,7 +565,7 @@ def _scan_replication(config: ExperimentConfig, l_values: tuple,
     top = order[:counts.max(initial=0)]
     origin, sums = _prefix_sums(ranked[:top.size], target.excess[top],
                                 target.indicator[top])
-    differences, _ = _variance_differences(
+    differences = _variance_differences(
         sums[:, counts], counts, np.log(thresholds) - origin, target.means,
         baseline.value, source.size, config.m)
     out[positive] = baseline.variance_estimate - differences

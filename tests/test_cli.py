@@ -9,6 +9,7 @@ import pytest
 from tailcv import (
     ExperimentConfig,
     Marginal,
+    Method,
     SufficientStatistics,
     bootstrap_study,
     generate_dataset,
@@ -398,6 +399,46 @@ def test_simulate_writes_report_and_estimates(tmp_path, config_path, capsys):
     rep, method, value = lines[1].split(",")
     assert (int(rep), method) == (0, "hill")
     assert float(value) == expected.estimates["hill"][0]
+
+
+def test_simulate_pairs_methods_in_method_order(tmp_path):
+    path = tmp_path / "reversed.cfg"
+    path.write_text(TINY_CONFIG + "estimators = "
+                    "transferred_moment,moment,transferred_hill,hill\n")
+    report = run_rvr_experiment(load_experiment_config(str(path)))
+    assert [(pair.baseline, pair.transferred) for pair in report.pairs] == [
+        (Method.HILL, Method.TRANSFERRED_HILL),
+        (Method.MOMENT, Method.TRANSFERRED_MOMENT)]
+
+
+OVERFLOW_ERROR = ("error: pareto marginal overflows: its quantile at "
+                  "u = 1 - 2**-53 is not finite\n")
+
+
+@pytest.mark.parametrize("key", ["gamma_t", "gamma_s"])
+def test_simulate_rejects_an_overflowing_pareto_before_any_replication(
+        tmp_path, capsys, monkeypatch, key):
+    text = "".join(row + "\n" for row in TINY_CONFIG.splitlines()
+                   if not row.startswith(key + " "))
+    path = tmp_path / "overflow.cfg"
+    path.write_text(text + f"{key} = 60\n")
+    monkeypatch.setattr("tailcv.simulate.generate_dataset", mock.Mock(
+        side_effect=AssertionError("a replication ran")))
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == OVERFLOW_ERROR
+    assert not out.exists()
+
+
+def test_rvr_sweep_checks_every_point_before_the_first_study(
+        tmp_path, config_path, capsys, monkeypatch):
+    monkeypatch.setattr("tailcv.simulate.generate_dataset", mock.Mock(
+        side_effect=AssertionError("a replication ran")))
+    out = tmp_path / "sweep"
+    assert main(["rvr-sweep", "--config", config_path, "--vary", "gamma_t",
+                 "--values", "0.5,60", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == OVERFLOW_ERROR
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line,message", [

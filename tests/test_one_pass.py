@@ -33,6 +33,7 @@ from tailcv import (
     Method,
     SemiSupervisedDataset,
     SufficientStatistics,
+    asymptotic_rvr,
     asymptotic_rvr_formula,
     build_cv_variables,
     cv_correlations,
@@ -564,14 +565,19 @@ def test_one_moment_matrix_per_dataset(theta5_dataset, theta5_config):
     assert np.array_equal(stats.moments.covariance, expected)
 
 
-def test_invalid_k_source_fails_only_the_transferred_estimators(theta5_dataset):
-    stats = SufficientStatistics.of(theta5_dataset, 100, theta5_dataset.n)
-    assert stats.source is None and stats.missing == "invalid k"
-    assert (ESTIMATORS[Method.HILL](stats).value
-            == hill(theta5_dataset.paired_target, 100).value)
-    for method in (Method.TRANSFERRED_HILL, Method.TRANSFERRED_MOMENT):
-        with pytest.raises(EstimationError, match="invalid k"):
-            ESTIMATORS[method](stats)
+def test_of_applies_the_k_rule_of_the_studies(theta5_dataset):
+    ds = theta5_dataset
+    with pytest.raises(EstimationError, match="^invalid k$"):
+        SufficientStatistics.of(ds, 100, ds.n)
+    # Both integer checks come before either range check, as in ExperimentConfig.
+    for k in (100, 0):
+        with pytest.raises(ValueError, match="^k_source must be an integer$") as error:
+            SufficientStatistics.of(ds, k, "3")
+        assert type(error.value) is ValueError
+    for public in (transferred_hill, transferred_moment, dependence_report,
+                   asymptotic_rvr):
+        with pytest.raises(EstimationError, match="^invalid k$"):
+            public(ds, 100, ds.n)
 
 
 def test_two_pairs_raise_estimation_error_on_the_control_path():

@@ -103,6 +103,21 @@ def test_marginal_rejects_non_finite_parameters(factory, name, value):
         factory(value)
 
 
+@pytest.mark.parametrize("gamma,y_m,accepted", [
+    # The power alone overflows once 53 * gamma >= 1024.
+    (19.3, 1e-3, True), (19.4, 1e-3, False),
+    # Then y_m times the power does.
+    (0.5, 1e300, True), (0.5, 1e301, False),
+])
+def test_pareto_quantile_is_finite_at_the_largest_uniform(gamma, y_m, accepted):
+    if not accepted:
+        with pytest.raises(ValueError, match="^pareto marginal overflows"):
+            Marginal.pareto(gamma, y_m)
+        return
+    largest = Marginal.pareto(gamma, y_m)._quantile(_open_unit(np.ones(1)))
+    assert np.isfinite(largest).all()
+
+
 def test_marginal_ignores_parameters_its_family_does_not_use():
     normal = Marginal(family="normal", gamma=float("nan"), shape_b=float("inf"))
     assert normal.quantile(0.5) == 0.0
@@ -593,13 +608,21 @@ def test_scan_draws_only_the_coupled_pairs():
             [public_scan_cell(dataset, config.k, l) for l in l_values])
 
 
+def test_config_rejects_a_target_quantile_that_overflows():
+    # The largest targets would overflow the Pareto quantile at this index.
+    with pytest.raises(ValueError, match="^pareto marginal overflows"):
+        ExperimentConfig(gamma_t=200.0, theta=2.0, n=200, m=50, k=20,
+                         source_marginal=Marginal.pareto(0.5), replications=2)
+
+
 def test_scan_rejects_a_non_finite_coupled_value_as_generate_dataset_does():
-    # The largest targets overflow the Pareto quantile at this index.
-    config = ExperimentConfig(gamma_t=200.0, theta=2.0, n=200, m=50, k=20,
+    config = ExperimentConfig(gamma_t=0.5, theta=2.0, n=200, m=50, k=20,
                               source_marginal=Marginal.pareto(0.5),
                               replications=2)
+    target, source = tailcv.simulate._coupled_pairs(config, 0)
+    target[np.argmax(target)] = np.inf
     message = "paired_target contains non-finite entries"
-    with np.errstate(over="ignore"):
+    with mock.patch("tailcv.simulate._coupled_pairs", return_value=(target, source)):
         with pytest.raises(ValueError, match=message):
             generate_dataset(config, 0)
         with pytest.raises(ValueError, match=message):
