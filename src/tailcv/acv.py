@@ -10,6 +10,7 @@ from the larger n + m sample rather than known exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,11 +20,9 @@ from .core import (
     Exceedances,
     SemiSupervisedDataset,
     _descending_order,
-    _order_statistic,
+    _exceedances,
     _prefix_sums,
     _validated_k,
-    exceedances,
-    order_statistics,
 )
 
 __all__ = [
@@ -94,7 +93,8 @@ def moment_statistics(*sequences) -> MomentStatistics:
 
 def _moments(rows, means: np.ndarray) -> MomentStatistics:
     """``moment_statistics`` of the rows, given their means."""
-    dev = np.asarray(rows) - means[:, None]
+    dev = np.array(rows)
+    dev -= means[:, None]
     count = dev.shape[1]
     # Each entry sums the products of its own two rows without BLAS, so the
     # matrix has the same bits on any kernel.
@@ -115,30 +115,29 @@ def cv_coefficient(a, b) -> float:
     return float(stats.covariance[0, 1] / var_b)
 
 
-def _degenerate(var_b, var_d, cov_bd, determinant):
-    """Whether the control system is singular; elementwise on arrays."""
+def _degenerate(var_b, var_d, cov_bd, determinant, sqrt=np.sqrt):
+    """Whether the control system is singular; elementwise, or on floats (math.sqrt)."""
     return ((determinant <= DETERMINANT_RTOL * var_b * var_d)
-            | (abs(cov_bd) >= CORRELATION_CEILING * np.sqrt(var_b * var_d)))
+            | (abs(cov_bd) >= CORRELATION_CEILING * sqrt(var_b * var_d)))
 
 
-def _coefficients(cov: np.ndarray, rows: tuple, r_plugin: float) -> AcvCoefficients:
-    """The optimal pair from the covariance rows (a, b, c, d) of ``cov``."""
+def _coefficients(cov: list, rows: tuple, r_plugin: float) -> AcvCoefficients:
+    """The optimal pair from rows (a, b, c, d) of a covariance as nested lists."""
     a, b, c, d = rows
-    var_b, var_d = cov[b, b], cov[d, d]
-    cov_ab, cov_ad = cov[a, b], cov[a, d]
-    cov_bc, cov_bd = cov[b, c], cov[b, d]
-    cov_cd = cov[c, d]
+    var_b, var_d = cov[b][b], cov[d][d]
+    cov_ab, cov_ad = cov[a][b], cov[a][d]
+    cov_bc, cov_bd = cov[b][c], cov[b][d]
+    cov_cd = cov[c][d]
     determinant = var_b * var_d - cov_bd * cov_bd
-    if _degenerate(var_b, var_d, cov_bd, determinant) or r_plugin == 0.0:
-        return AcvCoefficients(alpha=0.0, beta=0.0, determinant=float(determinant),
-                               degenerate=True)
+    if _degenerate(var_b, var_d, cov_bd, determinant, math.sqrt) or r_plugin == 0.0:
+        return AcvCoefficients(0.0, 0.0, determinant, degenerate=True)
     r = float(r_plugin)
     alpha = (var_d * cov_ab - r * var_d * cov_bc
              + r * cov_bd * cov_cd - cov_bd * cov_ad) / determinant
+    # Python floats round as float64 does; only beta's divisor can underflow to 0.
     beta = (cov_bd * cov_ab - r * cov_bd * cov_bc
-            + r * var_b * cov_cd - var_b * cov_ad) / (r * determinant)
-    return AcvCoefficients(alpha=float(alpha), beta=float(beta),
-                           determinant=float(determinant), degenerate=False)
+            + r * var_b * cov_cd - var_b * cov_ad) / np.float64(r * determinant)
+    return AcvCoefficients(alpha, float(beta), determinant, degenerate=False)
 
 
 def acv_ratio_coefficients(a, b, c, d, r_plugin: float) -> AcvCoefficients:
@@ -158,7 +157,7 @@ def acv_ratio_coefficients(a, b, c, d, r_plugin: float) -> AcvCoefficients:
         raise EstimationError("need at least 3 coupled observations")
     if not np.any(np.asarray(c, dtype=float)):
         raise EstimationError("no exceedances")
-    return _coefficients(stats.covariance, (0, 1, 2, 3), r_plugin)
+    return _coefficients(stats.covariance.tolist(), (0, 1, 2, 3), r_plugin)
 
 
 def corrected_ratio(numerator_coupled, numerator_all, denominator_coupled,
@@ -235,13 +234,14 @@ class SufficientStatistics:
     The four estimators are ratios of coupled means corrected with blocks of
     one control covariance, which the variance plug-in and the correlations
     read too, so each replication, resample or data file builds this once:
-    ``target`` and ``source`` (one sort each; ``source`` is None without a
-    source sample), ``moments`` of (a, g, b, h, c, d) over the n coupled
-    rows, from the sides' means, and ``lambda_hat``, the joint exceedance
-    frequency at k (None unless built by ``of``). ``moments`` is None when a
-    side has no log-excesses, the source is absent or n < 3;
-    ``missing`` then says why, and ``covariance`` raises it. The m extra
-    source values enter only through ``source.m`` and ``source.full_means``.
+    ``target`` and ``source`` (``source`` is None without a source sample),
+    ``moments`` of (a, g, b, h, c, d) over the n coupled rows, from the
+    sides' means, ``entries``, its covariance as nested lists, and
+    ``lambda_hat``, the joint exceedance frequency at k (None unless built
+    by ``of``, which selects and never sorts). ``moments`` is None when a
+    side has no log-excesses, the source is absent or n < 3; ``missing``
+    then says why, and ``covariance`` raises it. The m extra source values
+    enter only through ``source.m`` and ``source.full_means``.
     """
 
     target: Exceedances
@@ -249,6 +249,7 @@ class SufficientStatistics:
     lambda_hat: float | None = None
     missing: str | None = field(init=False, default=None)
     moments: MomentStatistics | None = field(init=False, default=None)
+    entries: list | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         target, source = self.target, self.source
@@ -263,6 +264,7 @@ class SufficientStatistics:
             object.__setattr__(self, "moments", _moments(
                 (target.excess, target.square, source.excess, source.square,
                  target.indicator, source.indicator), np.array((a, g, b, h, c, d))))
+            object.__setattr__(self, "entries", self.moments.covariance.tolist())
             return
         object.__setattr__(self, "missing", missing)
 
@@ -277,12 +279,12 @@ class SufficientStatistics:
     def _of_pool(cls, paired_target, paired_source, extra: tuple, k, k_source):
         """``of`` reading validated pool slices in place, the extras in pieces."""
         k, k_source = _validated_k(k, k_source, paired_target.size)
-        target = exceedances(paired_target, k)
-        ordered = order_statistics(paired_source)
-        above = paired_source > _order_statistic(ordered, k)
-        lambda_hat = float(np.count_nonzero(np.logical_and(target.indicator, above))
-                           / k)
-        source = exceedances(paired_source, k_source, extra=extra, ordered=ordered)
+        target = _exceedances(paired_target, k,
+                              float(np.partition(paired_target, -k - 1)[-k - 1]))
+        top = np.partition(paired_source, (-k - 1, -k_source - 1))
+        joint = np.logical_and(target.indicator, paired_source > top[-k - 1])
+        lambda_hat = float(np.count_nonzero(joint) / k)
+        source = _exceedances(paired_source, k_source, float(top[-k_source - 1]), extra)
         return cls(target, source, lambda_hat)
 
     @property
@@ -298,7 +300,8 @@ class SufficientStatistics:
 
     def coefficients(self, power: int, r_plugin: float) -> AcvCoefficients:
         """Optimal pair for the log-moment of order ``power`` (1 or 2)."""
-        return _coefficients(self.covariance, (power - 1, power + 1, _C, _D), r_plugin)
+        self.covariance  # raises EstimationError when the moments are missing
+        return _coefficients(self.entries, (power - 1, power + 1, _C, _D), r_plugin)
 
     def corrected_ratio(self, power: int, coefficients: AcvCoefficients) -> float:
         """Corrected log-moment of order ``power``; the shift is 0.0 when m = 0."""
@@ -346,13 +349,13 @@ class SufficientStatistics:
 
     def correlations(self) -> tuple[float, float]:
         """Pearson (corr(a, b), corr(c, d)), in np.corrcoef's order of operations."""
-        cov = self.covariance
-        out = []
+        self.covariance  # raises EstimationError when the moments are missing
+        cov, out = self.entries, []
         for x, y in ((_A, _B), (_C, _D)):
-            if cov[x, x] == 0.0 or cov[y, y] == 0.0:
+            if cov[x][x] == 0.0 or cov[y][y] == 0.0:
                 raise EstimationError("degenerate control variate")
-            value = cov[x, y] / np.sqrt(cov[x, x]) / np.sqrt(cov[y, y])
-            out.append(float(min(max(value, -1.0), 1.0)))
+            value = cov[x][y] / math.sqrt(cov[x][x]) / math.sqrt(cov[y][y])
+            out.append(min(max(value, -1.0), 1.0))
         return out[0], out[1]
 
 

@@ -38,7 +38,7 @@ def _readonly_vector(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
@@ -160,7 +160,7 @@ def order_statistics(sample) -> np.ndarray:
     arr = np.asarray(sample, dtype=float)
     if arr.size == 0:
         raise EstimationError("empty sample")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("sample contains non-finite entries")
     return np.sort(arr)
 
@@ -279,39 +279,43 @@ class Exceedances:
     values: np.ndarray | None = None
 
 
-def exceedances(coupled, k: int, extra=(),
-                ordered: np.ndarray | None = None) -> Exceedances:
-    """Exceedances of ``coupled``, with ``extra`` in the full means, from one sort.
+def exceedances(coupled, k: int, extra=()) -> Exceedances:
+    """Exceedances of ``coupled``, with ``extra`` in the full means, by selection.
 
-    The threshold is the (n-k)-th order statistic of the n coupled values;
-    ``ordered`` may pass their sorted copy to skip the sort and the ValueError
-    for non-finite inputs. ``extra`` holds the m extra values in 1-d pieces in
-    input order, like ``(values,)``; only those above the threshold are joined
-    and logged, so no (n + m)-long column is built. Each column is summed once.
+    The threshold is the (n-k)-th order statistic of the n coupled values,
+    from ``np.partition``: a value, so the one a sort gives. A sample that
+    is not one-dimensional or holds a non-finite value raises ValueError.
+    ``extra`` holds the m extra values in 1-d pieces in input order, like
+    ``(values,)``; only those above the threshold are joined and logged, so
+    no (n + m)-long column is built.
     """
-    coupled = np.asarray(coupled, dtype=float)
+    coupled = _readonly_vector(coupled, "sample")
     extra = [np.asarray(piece, dtype=float) for piece in extra]
-    if ordered is None:
-        ordered = order_statistics(coupled)
-        if not all(piece.ndim == 1 and np.all(np.isfinite(piece)) for piece in extra):
-            raise ValueError("extra must be one-dimensional pieces of finite values")
-    k = _valid_k(k, ordered.size)
-    threshold = _order_statistic(ordered, k)
+    if coupled.size == 0:
+        raise EstimationError("empty sample")
+    if not all(piece.ndim == 1 and np.isfinite(piece).all() for piece in extra):
+        raise ValueError("extra must be one-dimensional pieces of finite values")
+    k = _valid_k(k, coupled.size)
+    return _exceedances(coupled, k, float(np.partition(coupled, -k - 1)[-k - 1]), extra)
+
+
+def _exceedances(coupled, k: int, threshold: float, extra=()) -> Exceedances:
+    """``exceedances`` given the threshold; the columns of ``log_excess_indicators``."""
     m = sum(piece.size for piece in extra)
     if threshold <= 0:
         indicator = (coupled > threshold).astype(float)
-        return Exceedances(k, threshold, indicator, int(round(indicator.sum())), m)
+        return Exceedances(k, threshold, indicator, int(np.count_nonzero(indicator)), m)
     excess, indicator = log_excess_indicators(coupled, threshold)
-    square, n = excess * excess, indicator.size
-    sums = tuple(map(np.add.reduce, (excess, square, indicator)))
+    square, n, count = excess * excess, indicator.size, int(np.count_nonzero(indicator))
+    sums = (*map(np.add.reduce, (excess, square)), np.float64(count))  # = Σ indicator
     means = full_means = tuple(total / n for total in sums)
     if m:
         above = np.concatenate([np.compress(p > threshold, p) for p in extra])
         log_excess = np.log(above) - np.log(threshold)
         more = (*map(np.add.reduce, (log_excess, log_excess * log_excess)), above.size)
         full_means = tuple((own + add) / (n + m) for own, add in zip(sums, more))
-    return Exceedances(k, threshold, indicator, int(round(sums[2])), m, excess,
-                       square, means, full_means, coupled)
+    return Exceedances(k, threshold, indicator, count, m, excess, square, means,
+                       full_means, coupled)
 
 
 def build_cv_variables(dataset: SemiSupervisedDataset, k: int,

@@ -116,13 +116,13 @@ def _joint_scaled_excess_moments(stats: SufficientStatistics,
     stats.covariance  # raises the reason when a side has no log-excesses
     gamma_t_hat, gamma_s_hat = _resolve_gamma_hats(stats, gamma_t_hat, gamma_s_hat)
     target, source = stats.target, stats.source
-    joint = np.logical_and(target.indicator, source.indicator)
-    if not joint.any():
+    joint = np.flatnonzero(target.indicator * source.indicator)
+    if not joint.size:
         raise EstimationError("tail dependence too weak to estimate")
-    z_t = target.excess[joint] / gamma_t_hat
-    z_s = source.excess[joint] / gamma_s_hat
-    c_ad = float((z_t - 1.0).mean())
-    c_ab = float(((z_t - 1.0) * z_s).mean())
+    shifted = target.excess.take(joint) / gamma_t_hat - 1.0  # z_t - 1
+    z_s = source.excess.take(joint) / gamma_s_hat
+    c_ad = float(np.add.reduce(shifted) / shifted.size)  # as np.mean, bit for bit
+    c_ab = float(np.add.reduce(shifted * z_s) / shifted.size)
     return c_ab, c_ad
 
 

@@ -19,7 +19,10 @@ from .core import (
     EviEstimate,
     Exceedances,
     Method,
+    _exceedances,
     _integer,
+    _order_statistic,
+    _readonly_vector,
     _valid_k,
     exceedances,
     order_statistics,
@@ -141,7 +144,7 @@ def hill_plot(sample, k_min: int, k_max: int, step: int = 1) -> HillPlotSeries:
     Individual k values where the estimator degenerates (tied thresholds with
     no strict exceedances) are recorded as NaN rather than aborting the series.
     """
-    arr = np.asarray(sample, dtype=float)
+    arr = _readonly_vector(sample, "sample")
     if _integer(step, "step") < 1:
         raise ValueError("step must be positive")
     k_values = np.arange(_valid_k(k_min, arr.size, "k_min"),
@@ -150,7 +153,7 @@ def hill_plot(sample, k_min: int, k_max: int, step: int = 1) -> HillPlotSeries:
     estimates = np.empty(k_values.size)
     for i, k in enumerate(k_values):
         try:
-            estimates[i] = _ratio(exceedances(arr, k, ordered=ordered))
+            estimates[i] = _ratio(_exceedances(arr, k, _order_statistic(ordered, k)))
         except EstimationError:
             estimates[i] = np.nan
     return HillPlotSeries(k_values=k_values, estimates=estimates)

@@ -1,4 +1,7 @@
+import warnings
+from dataclasses import astuple
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from tailcv import (
     moment_statistics,
     variance_difference_plugin,
 )
+from tailcv.acv import _coefficients
 
 LN2 = np.log(2.0)
 
@@ -200,6 +204,95 @@ def test_coefficients_finite_on_simulated_data(seed):
     else:
         # Gram determinant of a real covariance matrix is non-negative.
         assert coeffs.determinant > 0.0
+
+
+# ------------------------------------- scalar algebra on Python floats
+
+
+def float64_coefficients(cov, rows, r_plugin):
+    """The coefficient pair in numpy float64 scalars, indexing the ndarray."""
+    a, b, c, d = rows
+    var_b, var_d = cov[b, b], cov[d, d]
+    cov_ab, cov_ad = cov[a, b], cov[a, d]
+    cov_bc, cov_bd, cov_cd = cov[b, c], cov[b, d], cov[c, d]
+    determinant = var_b * var_d - cov_bd * cov_bd
+    if ((determinant <= 1e-12 * var_b * var_d)
+            | (abs(cov_bd) >= (1.0 - 1e-10) * np.sqrt(var_b * var_d))) or r_plugin == 0.0:
+        return 0.0, 0.0, float(determinant), True
+    r = float(r_plugin)
+    alpha = (var_d * cov_ab - r * var_d * cov_bc
+             + r * cov_bd * cov_cd - cov_bd * cov_ad) / determinant
+    beta = (cov_bd * cov_ab - r * cov_bd * cov_bc
+            + r * var_b * cov_cd - var_b * cov_ad) / (r * determinant)
+    return float(alpha), float(beta), float(determinant), False
+
+
+def float64_correlations(cov):
+    out = []
+    for x, y in ((0, 2), (4, 5)):
+        if cov[x, x] == 0.0 or cov[y, y] == 0.0:
+            raise EstimationError("degenerate control variate")
+        value = cov[x, y] / np.sqrt(cov[x, x]) / np.sqrt(cov[y, y])
+        out.append(float(min(max(value, -1.0), 1.0)))
+    return out[0], out[1]
+
+
+def hex_outcome(func):
+    """Each float's exact bits (or an EstimationError's message), and the
+    messages of the warnings the call gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = tuple(x.hex() if isinstance(x, float) else x for x in func())
+        except EstimationError as error:
+            value = f"EstimationError: {error}"
+    return value, {str(warning.message) for warning in caught}
+
+
+SPECIAL_CORRELATIONS = [1.0, -1.0, 1.0 - 1e-10, 1.0 - 1e-11, -(1.0 - 1e-11), 0.0]
+
+
+@st.composite
+def covariances(draw):
+    """Symmetric 6x6 matrices with non-negative variances near 1e-300 to
+    1e300, correlations that are random, exactly +-1 (singular) or within
+    1e-10 of it (near-singular), and at times a zero, subnormal or
+    non-finite entry."""
+    scale = [draw(st.floats(0.5, 2.0)) * 10.0 ** draw(st.sampled_from(
+        [-150, -75, -6, 0, 6, 75, 150])) for _ in range(6)]
+    cov = np.diag(np.square(scale))
+    for i in range(6):
+        for j in range(i):
+            rho = draw(st.one_of(st.floats(-1.0, 1.0),
+                                 st.sampled_from(SPECIAL_CORRELATIONS)))
+            cov[i, j] = cov[j, i] = rho * scale[i] * scale[j]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+        cov[i, j] = cov[j, i] = draw(st.sampled_from([0.0, 5e-324, np.inf, np.nan]))
+    return cov
+
+
+@given(covariances(), st.one_of(st.floats(), st.sampled_from(
+    [0.0, 0.25, 1e-300, -1e-300, 1e300])))
+def test_python_float_algebra_equals_float64_algebra(cov, r_plugin):
+    # Python floats round + - * / and sqrt as float64 scalars do, and they
+    # never warn where float64 scalars would not. No ZeroDivisionError,
+    # OverflowError or ValueError may escape.
+    stats = SimpleNamespace(covariance=cov, entries=cov.tolist())
+    for rows in ((0, 2, 4, 5), (1, 3, 4, 5)):
+        new, new_warnings = hex_outcome(lambda: astuple(_coefficients(
+            cov.tolist(), rows, r_plugin)))
+        old, old_warnings = hex_outcome(lambda: float64_coefficients(cov, rows, r_plugin))
+        assert new == old and new_warnings <= old_warnings
+    new, new_warnings = hex_outcome(lambda: SufficientStatistics.correlations(stats))
+    old, old_warnings = hex_outcome(lambda: float64_correlations(cov))
+    assert new == old and new_warnings <= old_warnings
+
+
+def test_statistics_keep_their_covariance_as_python_floats(theta5_dataset, theta5_config):
+    stats = SufficientStatistics.of(theta5_dataset, theta5_config.k)
+    assert stats.entries == stats.covariance.tolist()
+    assert all(type(x) is float for row in stats.entries for x in row)
 
 
 # -------------------------------------------------------- corrected ratio

@@ -124,6 +124,12 @@ def test_log_excess_strict_inequality():
     assert a[0] == 0.0 and a[1] == 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_log_excess_of_no_values_is_two_empty_columns():
+    a, c = log_excess_indicators(np.array([]), 4.0)
+    assert a.shape == c.shape == (0,)
+
+
 def test_log_excess_nonpositive_threshold():
     with pytest.raises(EstimationError, match="log-transform undefined"):
         log_excess_indicators(np.array([1.0, 2.0]), 0.0)

@@ -9,8 +9,11 @@ does not depend on the other rows or on the BLAS kernel. ``ref_variables``
 builds the control-variate columns (a, g, b, h, c, d) as that code did;
 ``ref_full_mean`` takes a full-sample mean over them as the package does,
 summing the coupled rows and the exceeding extras separately.
-``threshold_at``, ``log_excess_indicators``, ``tail_dependence`` and
-``moment_from_log_moments`` kept their code and are called directly. The
+``threshold_at``, ``tail_dependence`` and ``moment_from_log_moments`` kept
+their code and are called directly. ``log_excess_indicators`` is called
+directly too, but it builds its columns with the package's own
+``core._exceedances``; ``sorted_side`` rebuilds a side's columns from a
+full sort and one mask, independently of the package. The
 plug-in's reference (``ref_plugin``) takes its covariance entries in
 raw-sum form, as the plug-in does, adding up the source exceedances one at
 a time from the largest value down; ``deviation_plugin`` checks its digits
@@ -28,6 +31,7 @@ from hypothesis import strategies as st
 from tailcv import (
     ESTIMATORS,
     EstimationError,
+    Exceedances,
     ExperimentConfig,
     Marginal,
     Method,
@@ -41,6 +45,7 @@ from tailcv import (
     exceedances,
     generate_dataset,
     hill,
+    hill_plot,
     log_excess_indicators,
     moment,
     moment_from_log_moments,
@@ -722,3 +727,123 @@ def test_extras_in_pieces_equal_their_concatenation(case, cuts):
                                     split.full_means)))
     for name in ("indicator", "excess", "square"):
         assert np.array_equal(getattr(whole, name), getattr(split, name))
+
+
+# ------------------------------------- thresholds by selection, not sorting
+
+
+def sorted_side(coupled, k, extra=()):
+    """One side as the package built it from a full sort: the threshold is
+    the (n-k)-th entry of ``np.sort``, and the count a rounded float sum."""
+    coupled = np.asarray(coupled, dtype=float)
+    n, m = coupled.size, sum(np.size(piece) for piece in extra)
+    threshold = float(np.sort(coupled)[n - k - 1])
+    mask = coupled > threshold
+    indicator = mask.astype(float)
+    count = int(round(indicator.sum()))
+    if threshold <= 0:
+        return Exceedances(k, threshold, indicator, count, m)
+    excess = np.zeros(n)
+    excess[mask] = np.log(coupled[mask]) - np.log(threshold)
+    square = excess * excess
+    sums = [np.add.reduce(column) for column in (excess, square, indicator)]
+    means = full_means = tuple(total / n for total in sums)
+    if m:
+        above = np.concatenate([piece[piece > threshold] for piece in extra])
+        log_excess = np.log(above) - np.log(threshold)
+        more = (np.add.reduce(log_excess), np.add.reduce(log_excess * log_excess),
+                above.size)
+        full_means = tuple((own + add) / (n + m) for own, add in zip(sums, more))
+    return Exceedances(k, threshold, indicator, count, m, excess, square, means,
+                       full_means, coupled)
+
+
+def sorted_statistics(dataset, k, k_source, extra):
+    target = sorted_side(dataset.paired_target, k)
+    source = sorted_side(dataset.paired_source, k_source, extra)
+    at_k = np.sort(dataset.paired_source)[dataset.n - k - 1]
+    joint = np.count_nonzero((dataset.paired_target > target.threshold)
+                             & (dataset.paired_source > at_k))
+    return SufficientStatistics(target, source, float(joint / k))
+
+
+def side_state(side):
+    """Every field of a side as bits. Selection and a sort may pick either of
+    two tied zeros, so a zero threshold's sign is dropped (``+ 0.0``): a
+    threshold <= 0 takes no log, and no output shows it."""
+    return ((side.k, side.count, side.m,
+             repr((side.threshold + 0.0, side.means, side.full_means)))
+            + tuple(None if column is None else column.tobytes()
+                    for column in (side.indicator, side.excess, side.square,
+                                   side.values)))
+
+
+def selection_state(stats):
+    moments = stats.moments and (stats.moments.means.tobytes(),
+                                 stats.moments.covariance.tobytes(), stats.entries)
+    return (side_state(stats.target), side_state(stats.source),
+            repr(stats.lambda_hat), stats.missing, moments)
+
+
+levels = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
+tied = st.one_of(st.floats(allow_nan=False, allow_infinity=False), levels, levels)
+
+
+@st.composite
+def tied_datasets(draw):
+    """Datasets whose values often tie, with values <= 0 and zeros of both signs."""
+    n = draw(st.integers(min_value=3, max_value=25))
+    m = draw(st.integers(min_value=0, max_value=15))
+    values = st.lists(tied, min_size=n, max_size=n)
+    dataset = SemiSupervisedDataset(
+        paired_target=draw(values), paired_source=draw(values),
+        extra_source=draw(st.lists(tied, min_size=m, max_size=m)))
+    k = draw(st.one_of(st.sampled_from([1, n - 1]), st.integers(1, n - 1)))
+    k_source = draw(st.one_of(st.just(k), st.sampled_from([1, n - 1]),
+                              st.integers(1, n - 1)))
+    return dataset, k, k_source
+
+
+# Both zeros tie at the threshold, on each side and among the extras.
+@example((SemiSupervisedDataset(paired_target=[-0.0, 0.0, -0.0, 0.0, 1.0, 2.0],
+                                paired_source=[0.0, -0.0, 3.0, -0.0, 0.0, 1.0],
+                                extra_source=[-0.0, 0.0, 4.0]), 2, 3), [1])
+@example((SemiSupervisedDataset(paired_target=[2.0, 2.0, 2.0, 1.0],
+                                paired_source=[2.0, 1.0, 2.0, 2.0],
+                                extra_source=[2.0, 5.0]), 1, 3), [])
+@given(tied_datasets(), st.lists(st.integers(min_value=0, max_value=15), max_size=3))
+def test_selection_gives_the_state_a_sort_gives(case, cuts):
+    dataset, k, k_source = case
+    extra = dataset.extra_source
+    pieces = tuple(np.split(extra, sorted(min(cut, extra.size) for cut in cuts)))
+    for coupled, order, more in ((dataset.paired_target, k, ()),
+                                 (dataset.paired_source, k_source, pieces)):
+        side, reference = exceedances(coupled, order, extra=more), sorted_side(
+            coupled, order, more)
+        assert side.threshold == reference.threshold
+        assert side_state(side) == side_state(reference)
+    expected = selection_state(sorted_statistics(dataset, k, k_source, pieces))
+    assert selection_state(SufficientStatistics._of_pool(
+        dataset.paired_target, dataset.paired_source, pieces, k, k_source)) == expected
+    assert selection_state(SufficientStatistics.of(dataset, k, k_source)) == expected
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=repr)
+def test_non_finite_samples_keep_their_messages(bad):
+    sample = [1.0, 2.0, bad, 4.0, 5.0]
+    message = "^sample contains non-finite entries$"
+    funcs = (exceedances, hill, moment, lambda values, k: hill_plot(values, k, 3))
+    for func in funcs:
+        with pytest.raises(ValueError, match=message) as error:
+            func(sample, 2)
+        assert type(error.value) is ValueError
+    with pytest.raises(ValueError,
+                       match="^extra must be one-dimensional pieces of finite values$"):
+        exceedances([1.0, 2.0, 3.0, 4.0, 5.0], 2, extra=([6.0], [bad]))
+    for func in (exceedances, hill, moment):
+        with pytest.raises(EstimationError, match="^empty sample$"):
+            func([], 1)
+    for shape in ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], 3.0):  # 2-d and 0-d
+        for func in funcs:
+            with pytest.raises(ValueError, match="^sample must be one-dimensional$"):
+                func(shape, 2)
