@@ -19,9 +19,11 @@ from .core import (
     EstimationError,
     Exceedances,
     SemiSupervisedDataset,
+    _column_block,
     _descending_order,
     _exceedances,
     _prefix_sums,
+    _side,
     _validated_k,
 )
 
@@ -88,13 +90,12 @@ def moment_statistics(*sequences) -> MomentStatistics:
     if count < 2:
         raise ValueError("need at least 2 observations")
     stacked = np.array(arrays)
-    return _moments(stacked, stacked.mean(axis=1))
+    means = stacked.mean(axis=1)
+    return _moments(stacked - means[:, None], means)
 
 
-def _moments(rows, means: np.ndarray) -> MomentStatistics:
-    """``moment_statistics`` of the rows, given their means."""
-    dev = np.array(rows)
-    dev -= means[:, None]
+def _moments(dev: np.ndarray, means: np.ndarray) -> MomentStatistics:
+    """``moment_statistics`` of rows with these means, from their deviations."""
     count = dev.shape[1]
     # Each entry sums the products of its own two rows without BLAS, so the
     # matrix has the same bits on any kernel.
@@ -121,8 +122,12 @@ def _degenerate(var_b, var_d, cov_bd, determinant, sqrt=np.sqrt):
             | (abs(cov_bd) >= CORRELATION_CEILING * sqrt(var_b * var_d)))
 
 
-def _coefficients(cov: list, rows: tuple, r_plugin: float) -> AcvCoefficients:
-    """The optimal pair from rows (a, b, c, d) of a covariance as nested lists."""
+def _coefficients(cov: list, rows: tuple, r_plugin: float) -> tuple:
+    """The optimal pair from rows (a, b, c, d) of a covariance as nested lists.
+
+    Returns AcvCoefficients' fields as a plain tuple: (alpha, beta,
+    determinant, degenerate).
+    """
     a, b, c, d = rows
     var_b, var_d = cov[b][b], cov[d][d]
     cov_ab, cov_ad = cov[a][b], cov[a][d]
@@ -130,14 +135,14 @@ def _coefficients(cov: list, rows: tuple, r_plugin: float) -> AcvCoefficients:
     cov_cd = cov[c][d]
     determinant = var_b * var_d - cov_bd * cov_bd
     if _degenerate(var_b, var_d, cov_bd, determinant, math.sqrt) or r_plugin == 0.0:
-        return AcvCoefficients(0.0, 0.0, determinant, degenerate=True)
+        return 0.0, 0.0, determinant, True
     r = float(r_plugin)
     alpha = (var_d * cov_ab - r * var_d * cov_bc
              + r * cov_bd * cov_cd - cov_bd * cov_ad) / determinant
     # Python floats round as float64 does; only beta's divisor can underflow to 0.
     beta = (cov_bd * cov_ab - r * cov_bd * cov_bc
             + r * var_b * cov_cd - var_b * cov_ad) / np.float64(r * determinant)
-    return AcvCoefficients(alpha, float(beta), determinant, degenerate=False)
+    return alpha, float(beta), determinant, False
 
 
 def acv_ratio_coefficients(a, b, c, d, r_plugin: float) -> AcvCoefficients:
@@ -157,7 +162,8 @@ def acv_ratio_coefficients(a, b, c, d, r_plugin: float) -> AcvCoefficients:
         raise EstimationError("need at least 3 coupled observations")
     if not np.any(np.asarray(c, dtype=float)):
         raise EstimationError("no exceedances")
-    return _coefficients(stats.covariance.tolist(), (0, 1, 2, 3), r_plugin)
+    return AcvCoefficients(*_coefficients(stats.covariance.tolist(), (0, 1, 2, 3),
+                                          r_plugin))
 
 
 def corrected_ratio(numerator_coupled, numerator_all, denominator_coupled,
@@ -176,13 +182,13 @@ def corrected_ratio(numerator_coupled, numerator_all, denominator_coupled,
         np.asarray(numerator_coupled, dtype=float).mean(),
         num_all.mean() - num_all[:n].mean(),
         np.asarray(denominator_coupled, dtype=float).mean(),
-        den_all.mean() - den_all[:n].mean(), coefficients)
+        den_all.mean() - den_all[:n].mean(), coefficients.alpha, coefficients.beta)
 
 
 def _shifted_ratio(numerator, numerator_shift, denominator, denominator_shift,
-                   coefficients: AcvCoefficients) -> float:
-    numerator = numerator + coefficients.alpha * numerator_shift
-    denominator = denominator + coefficients.beta * denominator_shift
+                   alpha: float, beta: float) -> float:
+    numerator = numerator + alpha * numerator_shift
+    denominator = denominator + beta * denominator_shift
     if denominator == 0.0:
         raise EstimationError("degenerate denominator")
     return float(numerator / denominator)
@@ -241,7 +247,10 @@ class SufficientStatistics:
     by ``of``, which selects and never sorts). ``moments`` is None when a
     side has no log-excesses, the source is absent or n < 3; ``missing``
     then says why, and ``covariance`` raises it. The m extra source values
-    enter only through ``source.m`` and ``source.full_means``.
+    enter only through ``source.m`` and ``source.full_means``. When ``of``
+    built the sides' columns as the rows a, g, b, h, c, d of one (6, n)
+    ``core._column_block``, their shared base, the covariance reads that
+    block without a copy.
     """
 
     target: Exceedances
@@ -260,10 +269,13 @@ class SufficientStatistics:
         elif self.n < 3:
             missing = "need at least 3 coupled observations"
         else:
+            block = target.excess.base
+            if block is None or block is not source.excess.base or len(block) != 6:
+                block = np.array((target.excess, target.square, source.excess,
+                                  source.square, target.indicator, source.indicator))
             (a, g, c), (b, h, d) = target.means, source.means
-            object.__setattr__(self, "moments", _moments(
-                (target.excess, target.square, source.excess, source.square,
-                 target.indicator, source.indicator), np.array((a, g, b, h, c, d))))
+            means = np.array((a, g, b, h, c, d))
+            object.__setattr__(self, "moments", _moments(block - means[:, None], means))
             object.__setattr__(self, "entries", self.moments.covariance.tolist())
             return
         object.__setattr__(self, "missing", missing)
@@ -277,15 +289,29 @@ class SufficientStatistics:
 
     @classmethod
     def _of_pool(cls, paired_target, paired_source, extra: tuple, k, k_source):
-        """``of`` reading validated pool slices in place, the extras in pieces."""
+        """``of`` reading validated pool slices in place, the extras in pieces.
+
+        With both thresholds positive, one (6, n) ``_column_block`` holds
+        both sides' columns; otherwise each side is built on its own.
+        """
         k, k_source = _validated_k(k, k_source, paired_target.size)
-        target = _exceedances(paired_target, k,
-                              float(np.partition(paired_target, -k - 1)[-k - 1]))
-        top = np.partition(paired_source, (-k - 1, -k_source - 1))
-        joint = np.logical_and(target.indicator, paired_source > top[-k - 1])
-        lambda_hat = float(np.count_nonzero(joint) / k)
-        source = _exceedances(paired_source, k_source, float(top[-k_source - 1]), extra)
-        return cls(target, source, lambda_hat)
+        target_threshold = float(np.partition(paired_target, -k - 1)[-k - 1])
+        top = np.partition(paired_source, sorted({-k - 1, -k_source - 1}))
+        threshold, at_k = float(top[-k_source - 1]), top[-k - 1]
+        if target_threshold > 0 and threshold > 0:
+            block = _column_block(np.array((paired_target, paired_source)),
+                                  np.array((target_threshold, threshold)))
+            sums = np.add.reduce(block, axis=1)
+            target = _side(block, (_A, _G, _C), sums, paired_target, k,
+                           target_threshold)
+            source = _side(block, (_B, _H, _D), sums, paired_source, k_source,
+                           threshold, extra)
+        else:
+            target = _exceedances(paired_target, k, target_threshold)
+            source = _exceedances(paired_source, k_source, threshold, extra)
+        joint = np.logical_and(target.indicator, source.indicator if k_source == k
+                               else paired_source > at_k)
+        return cls(target, source, float(np.count_nonzero(joint) / k))
 
     @property
     def n(self) -> int:
@@ -300,16 +326,24 @@ class SufficientStatistics:
 
     def coefficients(self, power: int, r_plugin: float) -> AcvCoefficients:
         """Optimal pair for the log-moment of order ``power`` (1 or 2)."""
+        return AcvCoefficients(*self._pair(power, r_plugin))
+
+    def _pair(self, power: int, r_plugin: float) -> tuple:
+        """``coefficients`` as the plain tuple of ``_coefficients``."""
         self.covariance  # raises EstimationError when the moments are missing
         return _coefficients(self.entries, (power - 1, power + 1, _C, _D), r_plugin)
 
     def corrected_ratio(self, power: int, coefficients: AcvCoefficients) -> float:
         """Corrected log-moment of order ``power``; the shift is 0.0 when m = 0."""
+        return self._corrected(power, coefficients.alpha, coefficients.beta)
+
+    def _corrected(self, power: int, alpha: float, beta: float) -> float:
+        """``corrected_ratio`` with the pair as floats."""
         source, row = self.source, power - 1
         return _shifted_ratio(
             self.target.means[row], source.full_means[row] - source.means[row],
             self.target.means[2], source.full_means[2] - source.means[2],
-            coefficients)
+            alpha, beta)
 
     def variance_difference(self, gamma_hat: float) -> float:
         """Plug-in estimate of the variance reduction of the corrected ratio.

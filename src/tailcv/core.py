@@ -229,6 +229,28 @@ def threshold_at(sample, k: int) -> float:
     return _order_statistic(order_statistics(sample), k)
 
 
+def _column_block(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """The control columns of s samples of n values over positive thresholds.
+
+    ``values`` is (s, n) and ``thresholds`` (s,). Row 2i of the returned
+    (3s, n) block is sample i's log-excess ln(max(x, t)) - ln(t), exactly
+    +0.0 where x <= t (the log of t less itself), row 2i + 1 its square and
+    row 2s + i its strict exceedance indicator, 1.0 where x > t. For a
+    (target, source) pair the rows are a, g, b, h, c, d. These are the
+    columns that logging the exceedances alone gives as long as np.log
+    gives a value the same bits wherever it sits in an array.
+    """
+    sides = values.shape[0]
+    block = np.empty((3 * sides, values.shape[1]))
+    excess, square = block[:2 * sides:2], block[1:2 * sides:2]
+    limits = thresholds[:, None]
+    np.greater(values, limits, out=block[2 * sides:])
+    np.log(np.fmax(values, limits, out=excess), out=excess)
+    excess -= np.log(limits)
+    np.multiply(excess, excess, out=square)
+    return block
+
+
 def log_excess_indicators(values, threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Log-excesses over a positive threshold and strict exceedance indicators.
 
@@ -236,7 +258,7 @@ def log_excess_indicators(values, threshold: float) -> tuple[np.ndarray, np.ndar
     ----------
     values : array-like of float
     threshold : float
-        Must be positive; values at or below it contribute zeros.
+        Must be positive and finite; values at or below it contribute zeros.
 
     Returns
     -------
@@ -244,14 +266,12 @@ def log_excess_indicators(values, threshold: float) -> tuple[np.ndarray, np.ndar
         ``indicator`` is 1.0 where value > threshold, else 0.0; ``excess`` is
         ln(value) - ln(threshold) there and exactly 0.0 elsewhere.
     """
-    if threshold <= 0:
+    if not 0 < threshold < math.inf:
         raise EstimationError("log-transform undefined")
     arr = np.asarray(values, dtype=float)
-    mask = arr > threshold
-    excess = np.zeros(arr.shape)
-    if mask.any():
-        excess[mask] = np.log(arr[mask]) - np.log(threshold)
-    return excess, mask.astype(float)
+    excess, _, indicator = _column_block(arr.reshape(1, -1),
+                                         np.array([threshold], float))
+    return excess.reshape(arr.shape), indicator.reshape(arr.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,12 +279,12 @@ class Exceedances:
     """One side's exceedances of the (n-k)-th order statistic of its n coupled values.
 
     ``indicator`` (0/1), ``excess`` (log-excess, 0.0 off the exceedances) and
-    ``square`` hold the n coupled rows, ``count`` is their number of
-    exceedances and ``means`` their means in that order. ``full_means`` are
-    the means over all n + m values, with the m extra ones: the very tuple
-    ``means`` when m = 0. ``values`` are the n coupled values themselves.
-    Only ``indicator``, ``count`` and ``m`` are set when the threshold is not
-    positive.
+    ``square`` hold the n coupled rows, as rows of one ``_column_block``,
+    ``count`` is their number of exceedances and ``means`` their means in
+    that order. ``full_means`` are the means over all n + m values, with the
+    m extra ones: the very tuple ``means`` when m = 0. ``values`` are the n
+    coupled values themselves. Only ``indicator``, ``count`` and ``m`` are
+    set when the threshold is not positive.
     """
 
     k: int
@@ -300,22 +320,34 @@ def exceedances(coupled, k: int, extra=()) -> Exceedances:
 
 
 def _exceedances(coupled, k: int, threshold: float, extra=()) -> Exceedances:
-    """``exceedances`` given the threshold; the columns of ``log_excess_indicators``."""
-    m = sum(piece.size for piece in extra)
+    """``exceedances`` given the threshold: a one-sample ``_column_block``."""
     if threshold <= 0:
         indicator = (coupled > threshold).astype(float)
-        return Exceedances(k, threshold, indicator, int(np.count_nonzero(indicator)), m)
-    excess, indicator = log_excess_indicators(coupled, threshold)
-    square, n, count = excess * excess, indicator.size, int(np.count_nonzero(indicator))
-    sums = (*map(np.add.reduce, (excess, square)), np.float64(count))  # = Σ indicator
-    means = full_means = tuple(total / n for total in sums)
+        return Exceedances(k, threshold, indicator, int(np.count_nonzero(indicator)),
+                           sum(piece.size for piece in extra))
+    block = _column_block(coupled.reshape(1, -1), np.array([threshold]))
+    return _side(block, (0, 1, 2), np.add.reduce(block, axis=1), coupled, k,
+                 threshold, extra)
+
+
+def _side(block, rows: tuple, sums, coupled, k: int, threshold: float,
+          extra=()) -> Exceedances:
+    """The side whose (excess, square, indicator) are ``rows`` of ``block``.
+
+    ``sums`` are the block's row sums and ``threshold`` is positive. Only
+    the extra values above it are joined and logged.
+    """
+    n, m = coupled.size, sum(piece.size for piece in extra)
+    own = tuple(sums[row] for row in rows)
+    means = full_means = tuple(total / n for total in own)
     if m:
         above = np.concatenate([np.compress(p > threshold, p) for p in extra])
         log_excess = np.log(above) - np.log(threshold)
         more = (*map(np.add.reduce, (log_excess, log_excess * log_excess)), above.size)
-        full_means = tuple((own + add) / (n + m) for own, add in zip(sums, more))
-    return Exceedances(k, threshold, indicator, count, m, excess, square, means,
-                       full_means, coupled)
+        full_means = tuple((total + add) / (n + m) for total, add in zip(own, more))
+    excess, square, indicator = (block[row] for row in rows)
+    return Exceedances(k, threshold, indicator, int(own[2]), m, excess, square,
+                       means, full_means, coupled)
 
 
 def build_cv_variables(dataset: SemiSupervisedDataset, k: int,

@@ -93,8 +93,14 @@ def hill(sample, k: int) -> EviEstimate:
     return _hill(SufficientStatistics(exceedances(sample, k)))
 
 
-def _hill(stats: SufficientStatistics) -> EviEstimate:
+def _hill(stats: SufficientStatistics, estimate: bool = True):
+    """The estimate; with ``estimate=False`` its value alone, as a float.
+
+    Every entry of ``transfer.ESTIMATORS`` takes the same flag.
+    """
     value = _ratio(stats.target)
+    if not estimate:
+        return value
     k_eff = stats.target.count
     return EviEstimate(
         value=value, method=Method.HILL, k=stats.target.k, k_eff=k_eff,
@@ -111,9 +117,11 @@ def moment(sample, k: int) -> EviEstimate:
     return _moment(SufficientStatistics(exceedances(sample, k)))
 
 
-def _moment(stats: SufficientStatistics) -> EviEstimate:
+def _moment(stats: SufficientStatistics, estimate: bool = True):
     value = moment_from_log_moments(_ratio(stats.target), _ratio(stats.target, 2),
                                     strict=True)
+    if not estimate:
+        return value
     return EviEstimate(value=value, method=Method.MOMENT, k=stats.target.k,
                        k_eff=stats.target.count)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .core import (
 )
 from .dependence import _DIAGNOSTICS, DependenceReport, _diagnostics, _report
 from .estimators import _hill
-from .transfer import ESTIMATORS, _transferred_hill
+from .transfer import ESTIMATORS
 
 __all__ = [
     "Marginal",
@@ -68,7 +68,8 @@ def _stream(seed: int, index: int, role: int) -> np.random.Generator:
 # The parameters each marginal family reads.
 _FAMILY_PARAMETERS = {"pareto": ("gamma", "y_m"), "normal": (), "beta": ("shape_b",)}
 
-# The largest uniform that generation draws, 1 - 2**-53 (see ``_open_unit``).
+# The smallest and largest uniforms that generation draws (see ``_open_unit``).
+_SMALLEST_UNIFORM = float(np.finfo(float).tiny)
 _LARGEST_UNIFORM = math.nextafter(1.0, 0.0)
 
 
@@ -230,7 +231,7 @@ def _open_unit(u: np.ndarray) -> np.ndarray:
     with probability 2**-53 per draw, and the quantile formulas need
     ``0 < u < 1``, so generation applies them to these uniforms unchecked.
     """
-    np.maximum(u, np.finfo(float).tiny, out=u)
+    np.maximum(u, _SMALLEST_UNIFORM, out=u)
     return np.minimum(u, _LARGEST_UNIFORM, out=u)
 
 
@@ -304,8 +305,9 @@ class ExperimentConfig:
         object.__setattr__(self, "estimators",
                            _normalize_estimators(self.estimators))
 
-    @property
+    @cached_property
     def target_marginal(self) -> Marginal:
+        """Pareto(gamma_t, y_m), built and checked once per config."""
         return Marginal.pareto(self.gamma_t, self.y_m)
 
 
@@ -358,17 +360,13 @@ def _replication_record(stats: SufficientStatistics, estimators) -> dict:
 def _estimate_values(stats: SufficientStatistics, methods) -> dict:
     """Each method's estimate of one dataset by name, NaN where it fails.
 
-    Only the values are kept, so the transferred Hill estimate is taken
-    without its plug-in variance.
+    Only the values are kept, so no estimate object is built: the
+    transferred Hill value comes without its plug-in variance.
     """
     values = {}
     for method in methods:
         try:
-            if method is Method.TRANSFERRED_HILL:
-                estimate = _transferred_hill(stats, variance=False)
-            else:
-                estimate = ESTIMATORS[method](stats)
-            values[method.value] = estimate.value
+            values[method.value] = ESTIMATORS[method](stats, estimate=False)
         except EstimationError:
             values[method.value] = float("nan")
     return values
@@ -536,14 +534,15 @@ class ThresholdScanPoint:
     failed: int
 
 
-def _scan_replication(config: ExperimentConfig, l_values: tuple,
+def _scan_replication(config: ExperimentConfig, l_values,
                       replication_index: int) -> np.ndarray:
     # No extra source value is drawn: m enters the plug-in only as a count.
     # Sorted largest first, each threshold's exceedances are a prefix, so one
     # pass of prefix sums gives the seven covariance entries the plug-in reads
     # at every l. Only the rows at or above the (l_max + 1)-th largest value
     # are sorted: in row order, with the stable rule, they are the first rows
-    # of the full order, so every cell has the bits a full sort gives.
+    # of the full order, so every cell has the bits a full sort gives. The
+    # study passes ``l_values`` as one int array; a tuple works too.
     pairs = SemiSupervisedDataset(*_coupled_pairs(config, replication_index))
     out = np.full(len(l_values), np.nan)
     try:
@@ -594,7 +593,8 @@ def source_threshold_scan(config: ExperimentConfig, l_values,
     if not l_tuple:
         raise ValueError("l_values must be non-empty")
     columns, failed = _columns(_map_replications(
-        partial(_scan_replication, config, l_tuple), config.replications, workers))
+        partial(_scan_replication, config, np.array(l_tuple)),
+        config.replications, workers))
     # As NaN a failed cell sorts last, so a column's first `count` cells are
     # its finite ones, and the columns that share a count share one call.
     columns[~np.isfinite(columns)] = np.nan

@@ -29,51 +29,49 @@ __all__ = [
 ]
 
 
-def _transferred_hill(stats: SufficientStatistics,
-                      variance: bool = True) -> EviEstimate:
-    """The estimate; ``variance=False`` leaves out its plug-in variance (None)."""
+def _transferred_hill(stats: SufficientStatistics, estimate: bool = True):
+    """The estimate; with ``estimate=False`` its value alone, as a float."""
     r_plugin = _ratio(stats.target)
-    coefficients = stats.coefficients(1, r_plugin)
-    value = stats.corrected_ratio(1, coefficients)
+    alpha, beta, _, degenerate = stats._pair(1, r_plugin)
+    value = stats._corrected(1, alpha, beta)
+    if not estimate:
+        return value
     k_eff = stats.target.count
-    variance_estimate = None
-    if variance:
-        variance_estimate = r_plugin * r_plugin / k_eff
-        if not coefficients.degenerate:
-            try:
-                variance_estimate -= stats.variance_difference(r_plugin)
-            except EstimationError:
-                # The plug-in's raw sums can find the controls singular where
-                # the coefficients' covariance, a rounding away, does not:
-                # then no reduction is claimed.
-                pass
-        variance_estimate = max(variance_estimate, 0.0)
-    record = TransferCoefficients(alpha=coefficients.alpha, beta=coefficients.beta,
-                                  degenerate=coefficients.degenerate)
+    variance_estimate = r_plugin * r_plugin / k_eff
+    if not degenerate:
+        try:
+            variance_estimate -= stats.variance_difference(r_plugin)
+        except EstimationError:
+            # The plug-in's raw sums can find the controls singular where
+            # the coefficients' covariance, a rounding away, does not:
+            # then no reduction is claimed.
+            pass
     return EviEstimate(
         value=value, method=Method.TRANSFERRED_HILL, k=stats.target.k,
-        k_eff=k_eff, coefficients=record, variance_estimate=variance_estimate,
+        k_eff=k_eff, coefficients=TransferCoefficients(alpha, beta,
+                                                       degenerate=degenerate),
+        variance_estimate=max(variance_estimate, 0.0),
     )
 
 
-def _transferred_moment(stats: SufficientStatistics) -> EviEstimate:
-    m1_plugin = _ratio(stats.target)
-    m2_plugin = _ratio(stats.target, 2)
-    first = stats.coefficients(1, m1_plugin)
-    second = stats.coefficients(2, m2_plugin)
-    value = moment_from_log_moments(stats.corrected_ratio(1, first),
-                                    stats.corrected_ratio(2, second), strict=False)
-    record = TransferCoefficients(
-        alpha=first.alpha, beta=first.beta,
-        alpha_prime=second.alpha, beta_prime=second.beta,
-        degenerate=first.degenerate, degenerate_second=second.degenerate,
-    )
+def _transferred_moment(stats: SufficientStatistics, estimate: bool = True):
+    alpha, beta, _, degenerate = stats._pair(1, _ratio(stats.target))
+    alpha_prime, beta_prime, _, degenerate_second = stats._pair(
+        2, _ratio(stats.target, 2))
+    value = moment_from_log_moments(stats._corrected(1, alpha, beta),
+                                    stats._corrected(2, alpha_prime, beta_prime),
+                                    strict=False)
+    if not estimate:
+        return value
+    record = TransferCoefficients(alpha, beta, alpha_prime, beta_prime,
+                                  degenerate, degenerate_second)
     return EviEstimate(value=value, method=Method.TRANSFERRED_MOMENT,
                        k=stats.target.k, k_eff=stats.target.count,
                        coefficients=record)
 
 
-# The one dispatch table: every estimator reads the same statistics object.
+# The one dispatch table: every estimator reads the same statistics object,
+# and with ``estimate=False`` gives its value without building an EviEstimate.
 ESTIMATORS = {
     Method.HILL: _hill,
     Method.MOMENT: _moment,

@@ -137,6 +137,13 @@ def test_log_excess_nonpositive_threshold():
         log_excess_indicators(np.array([1.0, 2.0]), -3.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("threshold", [np.inf, np.nan])
+def test_log_excess_non_finite_threshold(threshold):
+    with pytest.raises(EstimationError, match="log-transform undefined"):
+        log_excess_indicators(np.array([-1.0, 0.0, 1.0, np.inf]), threshold)
+
+
 @given(positive_samples, st.floats(min_value=0.01, max_value=1e6))
 def test_log_excess_supported_on_exceedances(sample, threshold):
     a, c = log_excess_indicators(sample, threshold)

@@ -21,6 +21,7 @@ against the deviation form.
 """
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -847,3 +848,146 @@ def test_non_finite_samples_keep_their_messages(bad):
         for func in funcs:
             with pytest.raises(ValueError, match="^sample must be one-dimensional$"):
                 func(shape, 2)
+
+
+# ------------------------------------------- both sides' columns as one block
+
+
+def block_state(stats):
+    """The columns, means, full means, moments, λ̂ and joint rows of a
+    statistics object."""
+    sides = (stats.target, stats.source)
+    columns = [side.indicator.tobytes() for side in sides] + [
+        column.tobytes() for side in sides if side.excess is not None
+        for column in (side.excess, side.square)]
+    moments = stats.moments and (stats.moments.means.tobytes(),
+                                 stats.moments.covariance.tobytes())
+    joint = np.flatnonzero(stats.target.indicator * stats.source.indicator)
+    return (columns, repr([(side.means, side.full_means) for side in sides]), moments,
+            repr(stats.lambda_hat), joint.tolist(), stats.missing)
+
+
+def reference_block_state(dataset, k, k_source, pieces):
+    """``block_state`` of two sides each built alone by ``sorted_side``
+    (its exceeding values logged alone and scattered into +0.0, each column
+    summed alone), with the moments from ``ref_cov``."""
+    target = sorted_side(dataset.paired_target, k)
+    source = sorted_side(dataset.paired_source, k_source, pieces)
+    moments, missing = None, "log-transform undefined"
+    if target.excess is not None and source.excess is not None:
+        rows = (target.excess, target.square, source.excess, source.square,
+                target.indicator, source.indicator)
+        moments = SimpleNamespace(means=np.array([row.mean() for row in rows]),
+                                  covariance=ref_cov(*rows))
+        missing = None
+    at_k = np.sort(dataset.paired_source)[dataset.n - k - 1]
+    joint = (dataset.paired_target > target.threshold) & (dataset.paired_source > at_k)
+    return block_state(SimpleNamespace(
+        target=target, source=source, moments=moments,
+        lambda_hat=float(np.count_nonzero(joint) / k), missing=missing))
+
+
+# Ties at both thresholds and values <= 0; then a target and a source whose
+# threshold is not positive, each with the other side's positive; then
+# n = 3 with k != k_source and extras in two pieces.
+@example((SemiSupervisedDataset(paired_target=[2.0, 2.0, 3.0, -1.0, 0.0, 2.0],
+                                paired_source=[1.0, 4.0, 1.0, 0.0, -2.0, 1.0],
+                                extra_source=[1.0, 5.0, -1.0]), 2, 3), [1])
+@example((SemiSupervisedDataset(paired_target=[-1.0, 0.0, 0.0, 2.0],
+                                paired_source=[1.0, 2.0, 3.0, 4.0],
+                                extra_source=[6.0]), 1, 2), [])
+@example((SemiSupervisedDataset(paired_target=[1.0, 2.0, 3.0, 4.0],
+                                paired_source=[-3.0, -2.0, 0.0, 4.0],
+                                extra_source=[6.0, -1.0]), 2, 1), [1])
+@example((SemiSupervisedDataset(paired_target=[1.0, 3.0, 2.0],
+                                paired_source=[2.0, 1.0, 3.0],
+                                extra_source=[4.0, 0.5, 3.0, 2.5]), 1, 2), [1, 3])
+@given(tied_datasets(), st.lists(st.integers(min_value=0, max_value=15), max_size=3))
+def test_block_gives_the_state_of_sides_built_apart(case, cuts):
+    # The block logs every value clipped at its threshold, so a value at or
+    # below it gives ln(t) - ln(t) = +0.0 only if np.log gives a value the
+    # same bits wherever it sits in an array; the masked reference logs the
+    # exceeding values alone.
+    dataset, k, k_source = case
+    extra = dataset.extra_source
+    pieces = tuple(np.split(extra, sorted(min(cut, extra.size) for cut in cuts)))
+    stats = SufficientStatistics._of_pool(dataset.paired_target,
+                                          dataset.paired_source, pieces, k, k_source)
+    assert block_state(stats) == reference_block_state(dataset, k, k_source, pieces)
+    for side, coupled in ((stats.target, dataset.paired_target),
+                          (stats.source, dataset.paired_source)):
+        if side.excess is not None:
+            assert side.excess.base is side.indicator.base is not None
+            assert side.values is coupled
+    if stats.moments is not None:
+        assert stats.target.excess.base is stats.source.excess.base
+        # Sides that share no block: the rows are stacked, with the same bits.
+        apart = SufficientStatistics(
+            *(replace(side, excess=side.excess.copy())
+              for side in (stats.target, stats.source)), stats.lambda_hat)
+        assert apart.target.excess.base is None
+        assert block_state(apart) == block_state(stats)
+
+
+# ----------------------------------------- study values without estimate objects
+
+
+def assert_values_equal_estimates(stats):
+    values = _estimate_values(stats, METHODS)
+    expected = {}
+    for method in METHODS:
+        try:
+            expected[method.value] = ESTIMATORS[method](stats).value
+        except EstimationError:
+            expected[method.value] = float("nan")
+    assert bits(values) == bits(expected)
+    return values
+
+
+# One target and one source exceedance: the controls b = e d are collinear,
+# so the coefficients are degenerate, and the moment is undefined (its only
+# log-excess equals its mean). Then m = 0, and two tied target exceedances.
+@example((SemiSupervisedDataset(paired_target=[1.0, 2.0, 3.0, 9.0],
+                                paired_source=[1.0, 5.0, 2.0, 3.0],
+                                extra_source=[7.0, 1.0]), 1, 1))
+@example((SemiSupervisedDataset(paired_target=[1.0, 2.0, 3.0, 9.0, 4.0],
+                                paired_source=[1.0, 5.0, 2.0, 3.0, 6.0]), 2, 3))
+@example((SemiSupervisedDataset(paired_target=[1.0, 2.0, 5.0, 5.0, 3.0],
+                                paired_source=[1.0, 5.0, 2.0, 3.0, 6.0],
+                                extra_source=[4.0, 8.0]), 2, 2))
+@given(datasets())
+def test_study_values_equal_the_estimates_values(case):
+    dataset, k, k_source = case
+    stats = SufficientStatistics.of(dataset, k, k_source)
+    assert_values_equal_estimates(stats)
+    # The estimate objects keep the coefficients and the variance.
+    try:
+        v = ref_variables(dataset, k, k_source)
+        r, _ = ref_ratio(v.a, v.c)
+        expected = ref_coefficients(v.a, v.b[:v.n], v.c, v.d[:v.n], r)
+        variance = ref_transferred_hill(v)[1]
+    except ValueError:  # EstimationError included
+        return
+    estimate = ESTIMATORS[Method.TRANSFERRED_HILL](stats)
+    record = estimate.coefficients
+    assert (record.alpha, record.beta, record.degenerate) == expected
+    assert (record.alpha_prime, record.beta_prime, record.degenerate_second) == (
+        None, None, None)
+    assert np.float64(estimate.variance_estimate).tobytes() == np.float64(
+        variance).tobytes()
+
+
+def test_study_values_cover_degenerate_and_undefined_cases():
+    # The explicit examples above reach every path the test names.
+    single = SufficientStatistics.of(SemiSupervisedDataset(
+        [1.0, 2.0, 3.0, 9.0], [1.0, 5.0, 2.0, 3.0], [7.0, 1.0]), 1, 1)
+    values = assert_values_equal_estimates(single)
+    assert ESTIMATORS[Method.TRANSFERRED_HILL](single).coefficients.degenerate
+    assert math.isnan(values["moment"]) and math.isnan(values["transferred_moment"])
+    assert values["transferred_hill"] == values["hill"]
+    no_extra = SufficientStatistics.of(SemiSupervisedDataset(
+        [1.0, 2.0, 3.0, 9.0, 4.0], [1.0, 5.0, 2.0, 3.0, 6.0]), 2, 3)
+    values = assert_values_equal_estimates(no_extra)
+    assert not ESTIMATORS[Method.TRANSFERRED_HILL](no_extra).coefficients.degenerate
+    assert values["transferred_hill"] == values["hill"]
+    assert values["transferred_moment"] == values["moment"]
