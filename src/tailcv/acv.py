@@ -91,16 +91,15 @@ def moment_statistics(*sequences) -> MomentStatistics:
         raise ValueError("need at least 2 observations")
     stacked = np.array(arrays)
     means = stacked.mean(axis=1)
-    return _moments(stacked - means[:, None], means)
+    return MomentStatistics(means, _covariance(stacked - means[:, None]), count)
 
 
-def _moments(dev: np.ndarray, means: np.ndarray) -> MomentStatistics:
-    """``moment_statistics`` of rows with these means, from their deviations."""
-    count = dev.shape[1]
+def _covariance(dev: np.ndarray) -> np.ndarray:
+    """The covariance (n-1 divisor) of rows with these deviations from their means."""
     # Each entry sums the products of its own two rows without BLAS, so the
     # matrix has the same bits on any kernel.
     products = np.einsum("...k,...k->...", dev[:, None], dev[None])
-    return MomentStatistics(means, products * (1 / (count - 1)), count)
+    return products * (1 / (dev.shape[1] - 1))
 
 
 def cv_coefficient(a, b) -> float:
@@ -241,23 +240,19 @@ class SufficientStatistics:
     one control covariance, which the variance plug-in and the correlations
     read too, so each replication, resample or data file builds this once:
     ``target`` and ``source`` (``source`` is None without a source sample),
-    ``moments`` of (a, g, b, h, c, d) over the n coupled rows, from the
-    sides' means, ``entries``, its covariance as nested lists, and
-    ``lambda_hat``, the joint exceedance frequency at k (None unless built
-    by ``of``, which selects and never sorts). ``moments`` is None when a
-    side has no log-excesses, the source is absent or n < 3; ``missing``
-    then says why, and ``covariance`` raises it. The m extra source values
-    enter only through ``source.m`` and ``source.full_means``. When ``of``
-    built the sides' columns as the rows a, g, b, h, c, d of one (6, n)
-    ``core._column_block``, their shared base, the covariance reads that
-    block without a copy.
+    ``entries``, the covariance of (a, g, b, h, c, d) over the n coupled
+    rows, from the sides' means, as nested lists, and ``lambda_hat``, the
+    joint exceedance frequency at k (None unless built by ``of``, which
+    selects and never sorts). ``entries`` is None when a side has no
+    log-excesses, the source is absent or n < 3; ``missing`` then says why,
+    and every reader of the covariance raises it. The m extra source values
+    enter only through ``source.m`` and ``source.full_means``.
     """
 
     target: Exceedances
     source: Exceedances | None = None
     lambda_hat: float | None = None
     missing: str | None = field(init=False, default=None)
-    moments: MomentStatistics | None = field(init=False, default=None)
     entries: list | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
@@ -269,14 +264,13 @@ class SufficientStatistics:
         elif self.n < 3:
             missing = "need at least 3 coupled observations"
         else:
-            block = target.excess.base
-            if block is None or block is not source.excess.base or len(block) != 6:
-                block = np.array((target.excess, target.square, source.excess,
-                                  source.square, target.indicator, source.indicator))
+            dev = np.empty((6, self.n))
             (a, g, c), (b, h, d) = target.means, source.means
-            means = np.array((a, g, b, h, c, d))
-            object.__setattr__(self, "moments", _moments(block - means[:, None], means))
-            object.__setattr__(self, "entries", self.moments.covariance.tolist())
+            for row, column, mean in zip(dev, (
+                    target.excess, target.square, source.excess, source.square,
+                    target.indicator, source.indicator), (a, g, b, h, c, d)):
+                np.subtract(column, mean, out=row)
+            object.__setattr__(self, "entries", _covariance(dev).tolist())
             return
         object.__setattr__(self, "missing", missing)
 
@@ -289,11 +283,7 @@ class SufficientStatistics:
 
     @classmethod
     def _of_pool(cls, paired_target, paired_source, extra: tuple, k, k_source):
-        """``of`` reading validated pool slices in place, the extras in pieces.
-
-        With both thresholds positive, one (6, n) ``_column_block`` holds
-        both sides' columns; otherwise each side is built on its own.
-        """
+        """``of`` reading validated pool slices in place, the extras in pieces."""
         k, k_source = _validated_k(k, k_source, paired_target.size)
         target_threshold = float(np.partition(paired_target, -k - 1)[-k - 1])
         top = np.partition(paired_source, sorted({-k - 1, -k_source - 1}))
@@ -320,25 +310,20 @@ class SufficientStatistics:
     @property
     def covariance(self) -> np.ndarray:
         """The 6x6 control covariance; raises EstimationError when missing."""
-        if self.moments is None:
+        return np.array(self._entries())
+
+    def _entries(self) -> list:
+        """``entries``; raises EstimationError with the reason they are missing."""
+        if self.entries is None:
             raise EstimationError(self.missing)
-        return self.moments.covariance
+        return self.entries
 
-    def coefficients(self, power: int, r_plugin: float) -> AcvCoefficients:
-        """Optimal pair for the log-moment of order ``power`` (1 or 2)."""
-        return AcvCoefficients(*self._pair(power, r_plugin))
+    def coefficients(self, power: int, r_plugin: float) -> tuple:
+        """``_coefficients`` for the log-moment of order ``power`` (1 or 2)."""
+        return _coefficients(self._entries(), (power - 1, power + 1, _C, _D), r_plugin)
 
-    def _pair(self, power: int, r_plugin: float) -> tuple:
-        """``coefficients`` as the plain tuple of ``_coefficients``."""
-        self.covariance  # raises EstimationError when the moments are missing
-        return _coefficients(self.entries, (power - 1, power + 1, _C, _D), r_plugin)
-
-    def corrected_ratio(self, power: int, coefficients: AcvCoefficients) -> float:
+    def corrected_ratio(self, power: int, alpha: float, beta: float) -> float:
         """Corrected log-moment of order ``power``; the shift is 0.0 when m = 0."""
-        return self._corrected(power, coefficients.alpha, coefficients.beta)
-
-    def _corrected(self, power: int, alpha: float, beta: float) -> float:
-        """``corrected_ratio`` with the pair as floats."""
         source, row = self.source, power - 1
         return _shifted_ratio(
             self.target.means[row], source.full_means[row] - source.means[row],
@@ -366,7 +351,7 @@ class SufficientStatistics:
         whole coupled source in that order, so a threshold scan reads the
         same sums, with the same bits, from one sort for every l.
         """
-        self.covariance  # raises EstimationError when the moments are missing
+        self._entries()  # raises EstimationError when the covariance is missing
         target, source = self.target, self.source
         if target.means[2] == 0.0:
             raise EstimationError("no exceedances")
@@ -383,8 +368,7 @@ class SufficientStatistics:
 
     def correlations(self) -> tuple[float, float]:
         """Pearson (corr(a, b), corr(c, d)), in np.corrcoef's order of operations."""
-        self.covariance  # raises EstimationError when the moments are missing
-        cov, out = self.entries, []
+        cov, out = self._entries(), []
         for x, y in ((_A, _B), (_C, _D)):
             if cov[x][x] == 0.0 or cov[y][y] == 0.0:
                 raise EstimationError("degenerate control variate")

@@ -113,7 +113,7 @@ def _joint_scaled_excess_moments(stats: SufficientStatistics,
     thresholds, z_t and z_s are the log-excesses scaled by the given or
     default index estimates; c_ad = mean(z_t - 1) and c_ab = mean((z_t - 1) * z_s).
     """
-    stats.covariance  # raises the reason when a side has no log-excesses
+    stats._entries()  # raises the reason when a side has no log-excesses
     gamma_t_hat, gamma_s_hat = _resolve_gamma_hats(stats, gamma_t_hat, gamma_s_hat)
     target, source = stats.target, stats.source
     joint = np.flatnonzero(target.indicator * source.indicator)
@@ -180,7 +180,7 @@ def _diagnostics(stats: SufficientStatistics) -> dict:
     """
     record = dict.fromkeys(_DIAGNOSTICS, float("nan"))
     record["lambda_hat"] = stats.lambda_hat
-    if stats.moments is not None:
+    if stats.entries is not None:
         record["p_hat"] = stats.target.count / stats.n
         try:
             record["corr_ab"], record["corr_cd"] = stats.correlations()

@@ -72,6 +72,10 @@ _FAMILY_PARAMETERS = {"pareto": ("gamma", "y_m"), "normal": (), "beta": ("shape_
 _SMALLEST_UNIFORM = float(np.finfo(float).tiny)
 _LARGEST_UNIFORM = math.nextafter(1.0, 0.0)
 
+# Above this theta the copula's stable variate can come out non-finite and stop a
+# study partway; at 20 that needs an angle within about 1e-16 of 0 or pi.
+_THETA_MAX = 20.0
+
 
 def _check_finite(instance, names) -> None:
     """Reject NaN and infinite fields, which every comparison lets through."""
@@ -289,6 +293,8 @@ class ExperimentConfig:
             raise ValueError("gamma_t must be positive")
         if self.theta < 1.0:
             raise ValueError("theta must be >= 1")
+        if self.theta > _THETA_MAX:
+            raise ValueError(f"theta must be <= {_THETA_MAX:g}")
         if self.n < 3:
             raise ValueError("n must be at least 3")
         if self.m < 0:

@@ -32,8 +32,8 @@ __all__ = [
 def _transferred_hill(stats: SufficientStatistics, estimate: bool = True):
     """The estimate; with ``estimate=False`` its value alone, as a float."""
     r_plugin = _ratio(stats.target)
-    alpha, beta, _, degenerate = stats._pair(1, r_plugin)
-    value = stats._corrected(1, alpha, beta)
+    alpha, beta, _, degenerate = stats.coefficients(1, r_plugin)
+    value = stats.corrected_ratio(1, alpha, beta)
     if not estimate:
         return value
     k_eff = stats.target.count
@@ -55,11 +55,11 @@ def _transferred_hill(stats: SufficientStatistics, estimate: bool = True):
 
 
 def _transferred_moment(stats: SufficientStatistics, estimate: bool = True):
-    alpha, beta, _, degenerate = stats._pair(1, _ratio(stats.target))
-    alpha_prime, beta_prime, _, degenerate_second = stats._pair(
+    alpha, beta, _, degenerate = stats.coefficients(1, _ratio(stats.target))
+    alpha_prime, beta_prime, _, degenerate_second = stats.coefficients(
         2, _ratio(stats.target, 2))
-    value = moment_from_log_moments(stats._corrected(1, alpha, beta),
-                                    stats._corrected(2, alpha_prime, beta_prime),
+    value = moment_from_log_moments(stats.corrected_ratio(1, alpha, beta),
+                                    stats.corrected_ratio(2, alpha_prime, beta_prime),
                                     strict=False)
     if not estimate:
         return value

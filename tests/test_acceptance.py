@@ -16,7 +16,6 @@ import pytest
 from scipy import stats
 
 from tailcv import (
-    AcvCoefficients,
     ExperimentConfig,
     Method,
     SemiSupervisedDataset,
@@ -210,16 +209,14 @@ def test_criterion_09_hand_oracles(tiny_dataset, check_criterion):
     # log-excess and indicator columns a, c, b, d above exactly.
     e = math.e
     hand = SemiSupervisedDataset([0.5, 1.0, e, e * e], [1.0, e, e, e * e])
-    coeffs = SufficientStatistics.of(hand, 2, 3).coefficients(1, 1.5)
-    errors["acv_alpha"] = abs(coeffs.alpha - float(alpha))
-    errors["acv_beta"] = abs(coeffs.beta - float(beta))
+    alpha_hat, beta_hat, _, _ = SufficientStatistics.of(hand, 2, 3).coefficients(1, 1.5)
+    errors["acv_alpha"] = abs(alpha_hat - float(alpha))
+    errors["acv_beta"] = abs(beta_hat - float(beta))
 
     ds = SemiSupervisedDataset(paired_target=tiny_dataset.paired_target,
                                paired_source=tiny_dataset.paired_source,
                                extra_source=np.full(5, 16.0))
-    unit = AcvCoefficients(alpha=1.0, beta=1.0, determinant=1.0,
-                           degenerate=False)
-    errors["acv_estimate"] = abs(SufficientStatistics.of(ds, 2).corrected_ratio(1, unit)
+    errors["acv_estimate"] = abs(SufficientStatistics.of(ds, 2).corrected_ratio(1, 1.0, 1.0)
                                  - 13.0 * LN2 / 7.0)
 
     # Ratio-of-means form versus mean-over-top-k form on tie-free samples.
@@ -275,9 +272,7 @@ def test_criterion_11_fallbacks_determinism_invariance(check_criterion):
     # Zero coefficients leave the ratio of means untouched, bit for bit,
     # although the m extra values shift both control means.
     extra = generate_dataset(_config(5.0, replications=2), 0)
-    zero = AcvCoefficients(alpha=0.0, beta=0.0, determinant=1.0,
-                           degenerate=False)
-    corrected = SufficientStatistics.of(extra, 100).corrected_ratio(1, zero)
+    corrected = SufficientStatistics.of(extra, 100).corrected_ratio(1, 0.0, 0.0)
     if corrected != hill(extra.paired_target, 100).value:
         failures.append("zero-coefficient fallback not bitwise")
 

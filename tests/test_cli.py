@@ -430,6 +430,31 @@ def test_simulate_rejects_an_overflowing_pareto_before_any_replication(
     assert not out.exists()
 
 
+def test_simulate_rejects_a_theta_above_the_bound_before_any_replication(
+        tmp_path, capsys, monkeypatch):
+    # At theta = 200 the copula's draws overflowed and the study stopped
+    # partway with "paired_target contains non-finite entries".
+    path = tmp_path / "theta.cfg"
+    path.write_text(TINY_CONFIG.replace("theta = 5.0", "theta = 200"))
+    monkeypatch.setattr("tailcv.simulate.generate_dataset", mock.Mock(
+        side_effect=AssertionError("a replication ran")))
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: theta must be <= 20\n"
+    assert not out.exists()
+
+
+def test_rvr_sweep_checks_every_theta_before_the_first_study(
+        tmp_path, config_path, capsys, monkeypatch):
+    monkeypatch.setattr("tailcv.simulate.generate_dataset", mock.Mock(
+        side_effect=AssertionError("a replication ran")))
+    out = tmp_path / "sweep"
+    assert main(["rvr-sweep", "--config", config_path, "--vary", "theta",
+                 "--values", "2,21", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: theta must be <= 20\n"
+    assert not out.exists()
+
+
 def test_rvr_sweep_checks_every_point_before_the_first_study(
         tmp_path, config_path, capsys, monkeypatch):
     monkeypatch.setattr("tailcv.simulate.generate_dataset", mock.Mock(

@@ -58,6 +58,7 @@ from tailcv import (
     transferred_moment_from_variables,
     variance_difference_plugin,
 )
+from tailcv.dependence import _dependence_report, _diagnostics, _joint_scaled_excess_moments
 from tailcv.simulate import (
     _ROLE_BOOTSTRAP,
     _estimate_values,
@@ -564,11 +565,11 @@ def test_m_zero_shift_is_exactly_zero(theta5_dataset, theta5_config):
 
 def test_one_moment_matrix_per_dataset(theta5_dataset, theta5_config):
     stats = SufficientStatistics.of(theta5_dataset, theta5_config.k)
-    assert stats.moments.covariance.shape == (6, 6)
+    assert stats.covariance.shape == (6, 6)
     v = ref_variables(theta5_dataset, theta5_config.k, theta5_config.k)
     n = v.n
     expected = ref_cov(v.a, v.g, v.b[:n], v.h[:n], v.c, v.d[:n])
-    assert np.array_equal(stats.moments.covariance, expected)
+    assert np.array_equal(stats.covariance, expected)
 
 
 def test_of_applies_the_k_rule_of_the_studies(theta5_dataset):
@@ -596,6 +597,47 @@ def test_two_pairs_raise_estimation_error_on_the_control_path():
             estimator(pairs, 1)
     with pytest.raises(EstimationError, match="at least 3 coupled"):
         dependence_report(pairs, 1)
+
+
+# Each reason the control covariance can be missing, with the dataset and k
+# that give it (no dataset: the statistics of one side alone) and λ̂ there.
+MISSING_CASES = {
+    "no source sample": (None, 3, None),
+    "log-transform undefined": (SemiSupervisedDataset(
+        np.arange(1.0, 11.0), -np.arange(10.0), [1.0, 2.0]), 3, 0.0),
+    "need at least 3 coupled observations": (SemiSupervisedDataset(
+        [1.0, 2.0], [1.0, 2.0], [3.0]), 1, 1.0),
+}
+
+
+@pytest.mark.parametrize("reason", list(MISSING_CASES))
+def test_every_reader_of_a_missing_covariance_raises_its_reason(reason):
+    dataset, k, lambda_hat = MISSING_CASES[reason]
+    if dataset is None:
+        stats = SufficientStatistics(exceedances(np.arange(1.0, 11.0), k))
+        public = []
+    else:
+        stats = SufficientStatistics.of(dataset, k)
+        public = [lambda f=f: f(dataset, k) for f in (
+            transferred_hill, transferred_moment, dependence_report, asymptotic_rvr)]
+    assert stats.missing == reason
+    readers = [
+        lambda: stats.covariance,
+        lambda: stats.coefficients(1, 1.0),
+        lambda: stats.coefficients(2, 1.0),
+        lambda: stats.variance_difference(0.5),
+        stats.correlations,
+        lambda: ESTIMATORS[Method.TRANSFERRED_HILL](stats),
+        lambda: ESTIMATORS[Method.TRANSFERRED_MOMENT](stats),
+        lambda: _dependence_report(stats),
+        lambda: _joint_scaled_excess_moments(stats, None, None),
+    ]
+    for reader in readers + public:
+        with pytest.raises(EstimationError, match=f"^{reason}$"):
+            reader()
+    record = _diagnostics(stats)
+    assert record.pop("lambda_hat") == stats.lambda_hat == lambda_hat
+    assert all(math.isnan(value) for value in record.values())
 
 
 # ------------------------------------- bootstrap resamples read the pool
@@ -626,9 +668,12 @@ def state(stats):
                                                     side.means, side.full_means)))
                          + tuple(None if column is None else column.tobytes()
                                  for column in (side.indicator, side.excess, side.square)))
-    moments = stats.moments and (stats.moments.means.tobytes(),
-                                 stats.moments.covariance.tobytes(), stats.moments.count)
-    return sides, repr(stats.lambda_hat), stats.missing, moments
+    return sides, repr(stats.lambda_hat), stats.missing, covariance_bytes(stats)
+
+
+def covariance_bytes(stats):
+    """The bits of the control covariance, or None where it is missing."""
+    return None if stats.missing else stats.covariance.tobytes()
 
 
 def readings(stats, gamma):
@@ -709,10 +754,6 @@ def test_means_equal_column_means_bit_for_bit(case):
             source.threshold)
         assert repr(source.full_means) == repr(tuple(
             ref_full_mean(column, d, dataset.n) for column in (b, b * b, d)))
-    if stats.moments is not None:
-        rows = (stats.target.excess, stats.target.square, source.excess, source.square,
-                stats.target.indicator, source.indicator)
-        assert stats.moments.means.tobytes() == np.array(rows).mean(axis=1).tobytes()
 
 
 @given(datasets(), st.lists(st.integers(min_value=0, max_value=15), max_size=4))
@@ -780,10 +821,8 @@ def side_state(side):
 
 
 def selection_state(stats):
-    moments = stats.moments and (stats.moments.means.tobytes(),
-                                 stats.moments.covariance.tobytes(), stats.entries)
     return (side_state(stats.target), side_state(stats.source),
-            repr(stats.lambda_hat), stats.missing, moments)
+            repr(stats.lambda_hat), stats.missing, covariance_bytes(stats))
 
 
 levels = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
@@ -854,36 +893,33 @@ def test_non_finite_samples_keep_their_messages(bad):
 
 
 def block_state(stats):
-    """The columns, means, full means, moments, λ̂ and joint rows of a
+    """The columns, means, full means, covariance, λ̂ and joint rows of a
     statistics object."""
     sides = (stats.target, stats.source)
     columns = [side.indicator.tobytes() for side in sides] + [
         column.tobytes() for side in sides if side.excess is not None
         for column in (side.excess, side.square)]
-    moments = stats.moments and (stats.moments.means.tobytes(),
-                                 stats.moments.covariance.tobytes())
     joint = np.flatnonzero(stats.target.indicator * stats.source.indicator)
-    return (columns, repr([(side.means, side.full_means) for side in sides]), moments,
+    return (columns, repr([(side.means, side.full_means) for side in sides]),
+            covariance_bytes(stats),
             repr(stats.lambda_hat), joint.tolist(), stats.missing)
 
 
 def reference_block_state(dataset, k, k_source, pieces):
     """``block_state`` of two sides each built alone by ``sorted_side``
     (its exceeding values logged alone and scattered into +0.0, each column
-    summed alone), with the moments from ``ref_cov``."""
+    summed alone), with the covariance from ``ref_cov``."""
     target = sorted_side(dataset.paired_target, k)
     source = sorted_side(dataset.paired_source, k_source, pieces)
-    moments, missing = None, "log-transform undefined"
+    covariance, missing = None, "log-transform undefined"
     if target.excess is not None and source.excess is not None:
-        rows = (target.excess, target.square, source.excess, source.square,
-                target.indicator, source.indicator)
-        moments = SimpleNamespace(means=np.array([row.mean() for row in rows]),
-                                  covariance=ref_cov(*rows))
+        covariance = ref_cov(target.excess, target.square, source.excess, source.square,
+                             target.indicator, source.indicator)
         missing = None
     at_k = np.sort(dataset.paired_source)[dataset.n - k - 1]
     joint = (dataset.paired_target > target.threshold) & (dataset.paired_source > at_k)
     return block_state(SimpleNamespace(
-        target=target, source=source, moments=moments,
+        target=target, source=source, covariance=covariance,
         lambda_hat=float(np.count_nonzero(joint) / k), missing=missing))
 
 
@@ -919,9 +955,9 @@ def test_block_gives_the_state_of_sides_built_apart(case, cuts):
         if side.excess is not None:
             assert side.excess.base is side.indicator.base is not None
             assert side.values is coupled
-    if stats.moments is not None:
+    if stats.missing is None:
         assert stats.target.excess.base is stats.source.excess.base
-        # Sides that share no block: the rows are stacked, with the same bits.
+        # Sides that share no block give the same bits.
         apart = SufficientStatistics(
             *(replace(side, excess=side.excess.copy())
               for side in (stats.target, stats.source)), stats.lambda_hat)

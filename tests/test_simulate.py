@@ -220,6 +220,8 @@ def test_config_accepts_method_names():
     dict(estimators=("hill", "hill")),
     # Two pairs used to pass here and abort the study mid-run.
     dict(n=2, k=1),
+    # So did a theta whose copula draws can overflow (theta = 200 did).
+    dict(theta=20.5),
 ])
 def test_config_validation(kwargs):
     base = dict(gamma_t=0.5, theta=2.0, n=1000, m=500,
