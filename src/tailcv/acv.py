@@ -199,7 +199,9 @@ def _variance_differences(sums, count, log_threshold, target_means,
 
     ``sums`` are ``core._prefix_sums`` columns over the source's ``count``
     exceedances of a threshold whose log, less the sums' origin, is
-    ``log_threshold``; all three are scalars or arrays over l. With
+    ``log_threshold``; all three are scalars or arrays over l, or over
+    (replication, l) with ``target_means`` and ``gamma_hat`` as one column
+    per replication. Every step is element-wise. With
     b = (L - log_threshold) * d over the n coupled rows, the seven entries
     are Cov(x, y) = (Σxy - Σx * mean(y)) / (n - 1). A degenerate value is NaN.
     """
@@ -324,6 +326,7 @@ class SufficientStatistics:
 
     def corrected_ratio(self, power: int, alpha: float, beta: float) -> float:
         """Corrected log-moment of order ``power``; the shift is 0.0 when m = 0."""
+        self._entries()  # raises EstimationError when the covariance is missing
         source, row = self.source, power - 1
         return _shifted_ratio(
             self.target.means[row], source.full_means[row] - source.means[row],

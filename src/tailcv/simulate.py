@@ -24,12 +24,12 @@ from .core import (
     Method,
     SemiSupervisedDataset,
     _descending_order,
+    _exceedances,
     _integer,
     _json_fields,
     _prefix_sums,
     _valid_k,
     _validated_k,
-    exceedances,
 )
 from .dependence import _DIAGNOSTICS, DependenceReport, _diagnostics, _report
 from .estimators import _hill
@@ -386,35 +386,35 @@ def _set_task(func) -> None:
     _task = func
 
 
-def _call_task(index: int):
-    return _task(index)
+def _call_task(item):
+    return _task(item)
 
 
-def _map_replications(func, count: int, workers: int) -> list:
-    """Apply func to 0..count-1, in a pool of ``workers`` processes, in index order."""
+def _map_replications(func, items, workers: int) -> list:
+    """Apply func to each item (an index or a block of them), in a pool of
+    ``workers`` processes, in item order."""
     workers = _integer(workers, "workers")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if workers == 1 or count <= 1:
-        return [func(index) for index in range(count)]
+    if workers == 1 or len(items) <= 1:
+        return [func(item) for item in items]
     # Imported here so that serial runs never load the pool's modules.
     from concurrent.futures import ProcessPoolExecutor
 
-    chunksize = max(1, count // (workers * 8))
+    chunksize = max(1, len(items) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers, initializer=_set_task,
                              initargs=(func,)) as pool:
-        return list(pool.map(_call_task, range(count), chunksize=chunksize))
+        return list(pool.map(_call_task, items, chunksize=chunksize))
 
 
-def _columns(records, names=None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-index records as one row per column, and each column's failures.
+def _columns(records, names) -> tuple[np.ndarray, np.ndarray]:
+    """Per-index dict records as one row per name, and each row's failures.
 
-    A record is an array, or a dict read at ``names``. A failure is a value
-    that is not finite, which is how a record marks a failed estimate.
+    A failure is a value that is not finite, which is how a record marks a
+    failed estimate.
     """
-    if names is not None:
-        records = [[record[name] for name in names] for record in records]
-    columns = np.array(records, dtype=float).T.copy()
+    columns = np.array([[record[name] for name in names] for record in records],
+                       dtype=float).T.copy()
     return columns, np.count_nonzero(~np.isfinite(columns), axis=1)
 
 
@@ -486,7 +486,7 @@ def run_rvr_experiment(config: ExperimentConfig, workers: int = 1) -> RvrReport:
     if config.replications < 2:
         raise ValueError("need at least 2 replications")
     records = _map_replications(partial(_run_replication, config),
-                                config.replications, workers)
+                                range(config.replications), workers)
     names = [method.value for method in config.estimators]
     columns, failed = _columns(records, names + list(_DIAGNOSTICS))
     estimates = dict(zip(names, columns))
@@ -540,8 +540,23 @@ class ThresholdScanPoint:
     failed: int
 
 
+# Replications a scan block holds: this many cells (replications times l
+# values) over the l count, at least one. At 2,048 cells the block's arrays
+# stay in cache, and the plug-in's numpy calls cost little per cell.
+_SCAN_BLOCK_CELLS = 2048
+
+
 def _scan_replication(config: ExperimentConfig, l_values,
                       replication_index: int) -> np.ndarray:
+    """What one replication gives the plug-in at each l, as one flat record.
+
+    With L values of l, the record holds eight rows of L: the six
+    ``core._prefix_sums`` columns at each l's count of exceedances, that
+    count, and log(t_l) less the sums' origin; then the target means, the
+    baseline Hill value and its variance. ``_scan_block`` reads it. A failed
+    baseline gives a record of NaN, and a threshold at or below 0 a NaN log,
+    which makes the cell NaN; no value at or below 0 is logged.
+    """
     # No extra source value is drawn: m enters the plug-in only as a count.
     # Sorted largest first, each threshold's exceedances are a prefix, so one
     # pass of prefix sums gives the seven covariance entries the plug-in reads
@@ -550,31 +565,55 @@ def _scan_replication(config: ExperimentConfig, l_values,
     # of the full order, so every cell has the bits a full sort gives. The
     # study passes ``l_values`` as one int array; a tuple works too.
     pairs = SemiSupervisedDataset(*_coupled_pairs(config, replication_index))
-    out = np.full(len(l_values), np.nan)
+    l_index = np.asarray(l_values)
+    record = np.empty(8 * l_index.size + 5)
+    paired_target, k = pairs.paired_target, config.k
     try:
-        target = exceedances(pairs.paired_target, config.k)
+        target = _exceedances(paired_target, k,
+                              float(np.partition(paired_target, -k - 1)[-k - 1]))
         baseline = _hill(SufficientStatistics(target))
     except EstimationError:
-        return out
+        record.fill(np.nan)
+        return record
     source = pairs.paired_source
-    l_index = np.asarray(l_values)
     cut = source.size - 1 - l_index.max()
     rows = np.flatnonzero(source >= np.partition(source, cut)[cut])
     order = rows[_descending_order(source[rows])]
     ranked = source[order]
     thresholds = ranked[l_index]
-    positive = np.flatnonzero(thresholds > 0)
-    thresholds = thresholds[positive]
-    # The count strictly above each threshold: below l where values tie.
-    counts = np.searchsorted(-ranked, -thresholds)
-    top = order[:counts.max(initial=0)]
+    # The count strictly above each threshold (below l where values tie), or
+    # above 0 for a threshold at or below 0, so only positive rows are summed.
+    counts = np.searchsorted(-ranked, -np.fmax(thresholds, 0.0))
+    top = order[:counts.max()]
     origin, sums = _prefix_sums(ranked[:top.size], target.excess[top],
                                 target.indicator[top])
+    cells = record[:-5].reshape(8, -1)
+    np.take(sums, counts, axis=1, out=cells[:6])
+    cells[6] = counts
+    log_threshold = cells[7]
+    log_threshold.fill(np.nan)
+    np.log(thresholds, out=log_threshold, where=thresholds > 0)
+    log_threshold -= origin
+    record[-5:] = (*target.means, baseline.value, baseline.variance_estimate)
+    return record
+
+
+def _scan_block(config: ExperimentConfig, l_index: np.ndarray, block) -> np.ndarray:
+    """The scan cells of the replications in ``block``, one row per l.
+
+    Each replication's record comes from ``_scan_replication``; one
+    ``acv._variance_differences`` call then takes every cell of the block,
+    with the means and the baseline value as one column per replication.
+    Every step is element-wise, so each cell has the bits of a replication
+    evaluated alone.
+    """
+    records = np.array([_scan_replication(config, l_index, index) for index in block])
+    cells = records[:, :-5].reshape(len(records), 8, l_index.size)
+    scalars = records[:, -5:, None].transpose(1, 0, 2)
     differences = _variance_differences(
-        sums[:, counts], counts, np.log(thresholds) - origin, target.means,
-        baseline.value, source.size, config.m)
-    out[positive] = baseline.variance_estimate - differences
-    return out
+        cells[:, :6].transpose(1, 0, 2), cells[:, 6], cells[:, 7], scalars[:3],
+        scalars[3], config.n, config.m)
+    return (scalars[4] - differences).T
 
 
 _QUARTILES = (25.0, 50.0, 75.0)
@@ -588,8 +627,10 @@ def source_threshold_scan(config: ExperimentConfig, l_values,
     Hill estimator (baseline plug-in variance minus the plug-in variance
     difference) across the configured replications and summarizes its
     distribution. Negative estimates are retained in the quartiles and
-    counted per point. Replications run in ``workers`` processes (default 1),
-    with the same points at any count.
+    counted per point. Replications run in blocks of about 2,048 cells
+    (replications times l values): each replication gives its sums at every
+    l, and one plug-in call takes the whole block. Blocks run in ``workers``
+    processes (default 1), with the same points at any count.
 
     Returns
     -------
@@ -598,12 +639,16 @@ def source_threshold_scan(config: ExperimentConfig, l_values,
     l_tuple = tuple(_valid_k(l, config.n, "l") for l in l_values)
     if not l_tuple:
         raise ValueError("l_values must be non-empty")
-    columns, failed = _columns(_map_replications(
-        partial(_scan_replication, config, np.array(l_tuple)),
-        config.replications, workers))
+    indices = range(config.replications)
+    length = max(1, _SCAN_BLOCK_CELLS // len(l_tuple))
+    blocks = [indices[start:start + length] for start in indices[::length]]
+    columns = np.concatenate(_map_replications(
+        partial(_scan_block, config, np.array(l_tuple)), blocks, workers), axis=1)
     # As NaN a failed cell sorts last, so a column's first `count` cells are
     # its finite ones, and the columns that share a count share one call.
-    columns[~np.isfinite(columns)] = np.nan
+    failures = ~np.isfinite(columns)
+    failed = np.count_nonzero(failures, axis=1)
+    columns[failures] = np.nan
     columns.sort(axis=1)
     counts = columns.shape[1] - failed
     quartiles = np.full((3, len(l_tuple)), np.nan)
@@ -699,7 +744,7 @@ def bootstrap_study(dataset: SemiSupervisedDataset, n_sub: int, resamples: int,
     k, k_source = _validated_k(k, k_source, n_sub)
     records = _map_replications(
         partial(_resample_values, dataset, n_sub, k, k_source, methods,
-                with_replacement, seed), resamples, workers)
+                with_replacement, seed), range(resamples), workers)
     names = [method.value for method in methods]
     columns, failed = _columns(records, names)
     return BootstrapResult(estimates=dict(zip(names, columns)),

@@ -625,6 +625,8 @@ def test_every_reader_of_a_missing_covariance_raises_its_reason(reason):
         lambda: stats.covariance,
         lambda: stats.coefficients(1, 1.0),
         lambda: stats.coefficients(2, 1.0),
+        lambda: stats.corrected_ratio(1, 0.0, 0.0),
+        lambda: stats.corrected_ratio(2, 0.0, 0.0),
         lambda: stats.variance_difference(0.5),
         stats.correlations,
         lambda: ESTIMATORS[Method.TRANSFERRED_HILL](stats),

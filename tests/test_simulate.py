@@ -4,7 +4,8 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import astuple
+import tracemalloc
+from dataclasses import astuple, replace
 from functools import partial
 from unittest import mock
 
@@ -35,7 +36,7 @@ from tailcv.simulate import (
     _ROLE_COUPLED,
     _ROLE_EXTRA,
     _open_unit,
-    _scan_replication,
+    _scan_block,
     _stream,
 )
 
@@ -494,6 +495,12 @@ def public_scan_cell(dataset, k, l):
         return float("nan")
 
 
+def scan_cells(config, l_values, indices):
+    """The scan's cells of replications ``indices``, one row per replication,
+    from one block."""
+    return _scan_block(config, np.array(l_values), indices).T
+
+
 def cell_bits(values):
     return [None if np.isnan(value) else np.float64(value).tobytes()
             for value in values]
@@ -521,7 +528,7 @@ def assert_scan_cells_equal_the_public_plug_in(dataset, k, l_values):
                               replications=1)
     with mock.patch("tailcv.simulate._coupled_pairs",
                     return_value=(dataset.paired_target, dataset.paired_source)):
-        cells = _scan_replication(config, l_values, 0)
+        cells = scan_cells(config, l_values, range(1))[0]
     assert cell_bits(cells) == cell_bits(
         [public_scan_cell(dataset, k, l) for l in l_values])
 
@@ -600,8 +607,7 @@ def test_scan_draws_only_the_coupled_pairs():
 
     with mock.patch("tailcv.simulate._stream", stream):
         source_threshold_scan(config, l_values, workers=1)
-        rows = [_scan_replication(config, l_values, index)
-                for index in range(config.replications)]
+        rows = scan_cells(config, l_values, range(config.replications))
     assert roles == [_ROLE_COUPLED] * (2 * config.replications)
     for index, row in enumerate(rows):
         dataset = generate_dataset(config, index)
@@ -639,8 +645,7 @@ def test_scan_summaries_mix_finite_and_failed_cells():
                               replications=30, seed=3)
     l_values = tuple(range(15, 46))
     points = source_threshold_scan(config, l_values)
-    matrix = np.vstack([_scan_replication(config, l_values, index)
-                        for index in range(config.replications)])
+    matrix = scan_cells(config, l_values, range(config.replications))
     failed = np.isnan(matrix).sum(axis=0)
     assert failed[0] == 0 and failed[-1] == config.replications
     assert np.any((failed > 0) & (failed < config.replications))
@@ -659,6 +664,90 @@ def test_scan_summaries_mix_finite_and_failed_cells():
         assert cell_bits([point.q1, point.median, point.q3]) == cell_bits(expected)
         assert point.negative_count == np.count_nonzero(finite < 0)
         assert point.failed == column.size - finite.size
+
+
+def test_scan_blocks_give_every_cell_the_public_plug_in(monkeypatch):
+    # Blocks of 3 over 11 replications of a normal source, so thresholds at
+    # or below 0 fall in every block. Replication 4, mid-block, has a target
+    # with no exceedances, so its baseline fails; replication 7 has its
+    # source rounded, so values tie at the cut of the partial sort.
+    config = ExperimentConfig(gamma_t=0.5, theta=3.0, n=40, m=30, k=4,
+                              source_marginal=Marginal.standard_normal(),
+                              replications=11, seed=8)
+    l_values = tuple(range(1, 30))
+    coupled = tailcv.simulate._coupled_pairs
+
+    def pairs(config, index):
+        target, source = coupled(config, index)
+        if index == 4:
+            target = np.ones_like(target)
+        if index == 7:
+            source = np.round(source, 1)
+        return target, source
+
+    blocks = []
+
+    def spy(config, l_index, indices):
+        blocks.append((indices, _scan_block(config, l_index, indices)))
+        return blocks[-1][1]
+
+    monkeypatch.setattr(tailcv.simulate, "_coupled_pairs", pairs)
+    monkeypatch.setattr(tailcv.simulate, "_scan_block", spy)
+    monkeypatch.setattr(tailcv.simulate, "_SCAN_BLOCK_CELLS", 3 * len(l_values))
+    points = source_threshold_scan(config, l_values)
+    assert [list(indices) for indices, _ in blocks] == [
+        [0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10]]
+    matrix = np.hstack([cells for _, cells in blocks]).T
+    for index, row in enumerate(matrix):
+        dataset = generate_dataset(config, index)
+        assert cell_bits(row) == cell_bits(
+            [public_scan_cell(dataset, config.k, l) for l in l_values])
+    # Around the failed baseline, finite cells and cells over thresholds at
+    # or below 0.
+    assert np.isnan(matrix[4]).all()
+    for index in (3, 5):
+        assert np.isfinite(matrix[index, 1])
+        assert np.sort(pairs(config, index)[1])[::-1][max(l_values)] <= 0
+    cut = config.n - 1 - max(l_values)
+    source = pairs(config, 7)[1]
+    assert np.count_nonzero(source == np.partition(source, cut)[cut]) > 1
+    assert [point.failed for point in points] == np.isnan(matrix).sum(axis=0).tolist()
+
+
+def test_scan_points_are_equal_at_one_and_two_workers():
+    # Three blocks and one replication more, over every l of a normal source.
+    l_values = range(1, 60)
+    length = tailcv.simulate._SCAN_BLOCK_CELLS // len(l_values)
+    config = ExperimentConfig(gamma_t=0.5, theta=3.0, n=60, m=40, k=6,
+                              source_marginal=Marginal.standard_normal(),
+                              replications=3 * length + 1, seed=5)
+    serial, parallel = (
+        [value for point in source_threshold_scan(config, l_values, workers=workers)
+         for value in astuple(point)] for workers in (1, 2))
+    assert cell_bits(serial) == cell_bits(parallel)
+
+
+def test_a_wide_scan_holds_one_block_of_records_at_a_time():
+    # With 4 blocks the peak exceeds the peak with 1 block by at most twice
+    # the 3 more blocks' cells (returned, then joined); a scan that held
+    # every replication's record at once would exceed it by far more.
+    config = ExperimentConfig(gamma_t=0.25, theta=5.0, n=1000, m=5000, k=100,
+                              source_marginal=Marginal.pareto(0.5),
+                              replications=1, seed=2)
+    l_values = range(1, config.n)
+    length = tailcv.simulate._SCAN_BLOCK_CELLS // len(l_values)
+    source_threshold_scan(config, l_values)
+    peaks = []
+    for blocks in (1, 4):
+        tracemalloc.start()
+        try:
+            source_threshold_scan(
+                replace(config, replications=blocks * length), l_values)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    more_cells = 3 * length * len(l_values) * np.dtype(float).itemsize
+    assert peaks[1] - peaks[0] <= 2 * more_cells
 
 
 # --------------------------------------------------------------- bootstrap
