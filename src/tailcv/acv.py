@@ -195,7 +195,7 @@ def _shifted_ratio(numerator, numerator_shift, denominator, denominator_shift,
 
 def _variance_differences(sums, count, log_threshold, target_means,
                           gamma_hat, n: int, m: int):
-    """``SufficientStatistics.variance_difference`` at one l or at many.
+    """``variance_difference_plugin`` at one l or at many.
 
     ``sums`` are ``core._prefix_sums`` columns over the source's ``count``
     exceedances of a threshold whose log, less the sums' origin, is
@@ -309,11 +309,6 @@ class SufficientStatistics:
     def n(self) -> int:
         return self.target.indicator.size
 
-    @property
-    def covariance(self) -> np.ndarray:
-        """The 6x6 control covariance; raises EstimationError when missing."""
-        return np.array(self._entries())
-
     def _entries(self) -> list:
         """``entries``; raises EstimationError with the reason they are missing."""
         if self.entries is None:
@@ -333,53 +328,39 @@ class SufficientStatistics:
             self.target.means[2], source.full_means[2] - source.means[2],
             alpha, beta)
 
-    def variance_difference(self, gamma_hat: float) -> float:
-        """Plug-in estimate of the variance reduction of the corrected ratio.
-
-        Estimates Var(baseline Hill) - Var(transferred Hill) as
-
-            m / (n (n+m)) * spread / (mean(c)**2 * det)
-
-        with spread = Var(s_d*d - s_b*b) as the quadratic form s_d**2 Var(d)
-        + s_b**2 Var(b) - 2 s_d s_b Cov(b,d), s_d = gamma_hat*Cov(b,c) -
-        Cov(a,b), s_b = gamma_hat*Cov(c,d) - Cov(a,d) and det = Var(b)Var(d)
-        - Cov(b,d)**2, all with n-1 divisors over the n coupled rows. Where
-        defined, spread >= 0 and det > 0. The variance estimate, baseline
-        minus this, can be negative; threshold scans count those cells.
-
-        The seven entries come in raw-sum form, Cov(x, y) = (Σxy - Σx *
-        mean(y)) / (n - 1), from ``core._prefix_sums`` over the source's
-        coupled exceedances in ``core._descending_order``: the largest
-        value first, ties in row order. Those rows are the first of the
-        whole coupled source in that order, so a threshold scan reads the
-        same sums, with the same bits, from one sort for every l.
-        """
-        self._entries()  # raises EstimationError when the covariance is missing
-        target, source = self.target, self.source
-        if target.means[2] == 0.0:
-            raise EstimationError("no exceedances")
-        rows = np.flatnonzero(source.indicator)
-        rows = rows[_descending_order(source.values[rows])]
-        origin, sums = _prefix_sums(source.values[rows], target.excess[rows],
-                                    target.indicator[rows])
-        value = _variance_differences(
-            sums[:, -1], rows.size, np.log(source.threshold) - origin,
-            target.means, gamma_hat, self.n, source.m)
-        if np.isnan(value):
-            raise EstimationError("degenerate control variate")
-        return float(value)
-
-    def correlations(self) -> tuple[float, float]:
-        """Pearson (corr(a, b), corr(c, d)), in np.corrcoef's order of operations."""
-        cov, out = self._entries(), []
-        for x, y in ((_A, _B), (_C, _D)):
-            if cov[x][x] == 0.0 or cov[y][y] == 0.0:
-                raise EstimationError("degenerate control variate")
-            value = cov[x][y] / math.sqrt(cov[x][x]) / math.sqrt(cov[y][y])
-            out.append(min(max(value, -1.0), 1.0))
-        return out[0], out[1]
-
 
 def variance_difference_plugin(stats: SufficientStatistics, gamma_hat: float) -> float:
-    """``stats.variance_difference``, kept because ``perfbench/`` calls this name."""
-    return stats.variance_difference(gamma_hat)
+    """Plug-in estimate of the variance reduction of the corrected ratio.
+
+    Estimates Var(baseline Hill) - Var(transferred Hill) as
+
+        m / (n (n+m)) * spread / (mean(c)**2 * det)
+
+    with spread = Var(s_d*d - s_b*b) as the quadratic form s_d**2 Var(d)
+    + s_b**2 Var(b) - 2 s_d s_b Cov(b,d), s_d = gamma_hat*Cov(b,c) -
+    Cov(a,b), s_b = gamma_hat*Cov(c,d) - Cov(a,d) and det = Var(b)Var(d)
+    - Cov(b,d)**2, all with n-1 divisors over the n coupled rows. Where
+    defined, spread >= 0 and det > 0. The variance estimate, baseline
+    minus this, can be negative; threshold scans count those cells.
+
+    The seven entries come in raw-sum form, Cov(x, y) = (Σxy - Σx *
+    mean(y)) / (n - 1), from ``core._prefix_sums`` over the source's
+    coupled exceedances in ``core._descending_order``: the largest
+    value first, ties in row order. Those rows are the first of the
+    whole coupled source in that order, so a threshold scan reads the
+    same sums, with the same bits, from one sort for every l.
+    """
+    stats._entries()  # raises EstimationError when the covariance is missing
+    target, source = stats.target, stats.source
+    if target.means[2] == 0.0:
+        raise EstimationError("no exceedances")
+    rows = np.flatnonzero(source.indicator)
+    rows = rows[_descending_order(source.values[rows])]
+    origin, sums = _prefix_sums(source.values[rows], target.excess[rows],
+                                target.indicator[rows])
+    value = _variance_differences(
+        sums[:, -1], rows.size, np.log(source.threshold) - origin,
+        target.means, gamma_hat, stats.n, source.m)
+    if np.isnan(value):
+        raise EstimationError("degenerate control variate")
+    return float(value)

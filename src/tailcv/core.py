@@ -34,12 +34,16 @@ class EstimationError(ValueError):
     """Estimator input or intermediate quantity is degenerate."""
 
 
+def _check_finite_entries(values: np.ndarray, name: str) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} contains non-finite entries")
+
+
 def _readonly_vector(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
+    _check_finite_entries(arr, name)
     arr.setflags(write=False)
     return arr
 
@@ -63,12 +67,8 @@ class SemiSupervisedDataset:
     extra_source: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self):
-        object.__setattr__(self, "paired_target",
-                           _readonly_vector(self.paired_target, "paired_target"))
-        object.__setattr__(self, "paired_source",
-                           _readonly_vector(self.paired_source, "paired_source"))
-        object.__setattr__(self, "extra_source",
-                           _readonly_vector(self.extra_source, "extra_source"))
+        for name in ("paired_target", "paired_source", "extra_source"):
+            object.__setattr__(self, name, _readonly_vector(getattr(self, name), name))
         if self.paired_target.size != self.paired_source.size:
             raise ValueError("paired_target and paired_source must have equal length")
         if self.paired_target.size < 2:
@@ -160,8 +160,7 @@ def order_statistics(sample) -> np.ndarray:
     arr = np.asarray(sample, dtype=float)
     if arr.size == 0:
         raise EstimationError("empty sample")
-    if not np.isfinite(arr).all():
-        raise ValueError("sample contains non-finite entries")
+    _check_finite_entries(arr, "sample")
     return np.sort(arr)
 
 
@@ -352,7 +351,8 @@ def _side(block, rows: tuple, sums, coupled, k: int, threshold: float,
 
 def build_cv_variables(dataset: SemiSupervisedDataset, k: int,
                        k_source: int | None = None):
-    """``acv.SufficientStatistics.of``, kept because ``perfbench/`` calls this name."""
+    """``acv.SufficientStatistics.of``, kept because ``perfbench/`` calls this name;
+    ``of``'s body here would need this import in every replication."""
     from .acv import SufficientStatistics  # acv imports this module
     return SufficientStatistics.of(dataset, k, k_source)
 

@@ -9,11 +9,12 @@ Hill estimator built from conditional moments of scaled log-excesses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .acv import SufficientStatistics
+from .acv import _A, _B, _C, _D, SufficientStatistics
 from .core import EstimationError, SemiSupervisedDataset, threshold_at
 from .estimators import _ratio
 
@@ -78,8 +79,14 @@ def tail_dependence(paired_target, paired_source, k: int) -> float:
 
 
 def cv_correlations(stats: SufficientStatistics) -> tuple[float, float]:
-    """``stats.correlations``, kept because ``perfbench/`` traces this name."""
-    return stats.correlations()
+    """Pearson (corr(a, b), corr(c, d)), in np.corrcoef's order of operations."""
+    cov, out = stats._entries(), []
+    for x, y in ((_A, _B), (_C, _D)):
+        if cov[x][x] == 0.0 or cov[y][y] == 0.0:
+            raise EstimationError("degenerate control variate")
+        value = cov[x][y] / math.sqrt(cov[x][x]) / math.sqrt(cov[y][y])
+        out.append(min(max(value, -1.0), 1.0))
+    return out[0], out[1]
 
 
 def asymptotic_rvr_formula(lambda_hat: float, p: float, c_ab: float,
@@ -183,7 +190,7 @@ def _diagnostics(stats: SufficientStatistics) -> dict:
     if stats.entries is not None:
         record["p_hat"] = stats.target.count / stats.n
         try:
-            record["corr_ab"], record["corr_cd"] = stats.correlations()
+            record["corr_ab"], record["corr_cd"] = cv_correlations(stats)
         except EstimationError:
             pass
     try:
@@ -212,5 +219,5 @@ def dependence_report(dataset: SemiSupervisedDataset, k: int,
 
 
 def _dependence_report(stats: SufficientStatistics) -> DependenceReport:
-    stats.correlations()  # raises the reason they are undefined
+    cv_correlations(stats)  # raises the reason they are undefined
     return _report(_diagnostics(stats))

@@ -23,6 +23,7 @@ from .core import (
     EstimationError,
     Method,
     SemiSupervisedDataset,
+    _check_finite_entries,
     _descending_order,
     _exceedances,
     _integer,
@@ -564,10 +565,12 @@ def _scan_replication(config: ExperimentConfig, l_values,
     # are sorted: in row order, with the stable rule, they are the first rows
     # of the full order, so every cell has the bits a full sort gives. The
     # study passes ``l_values`` as one int array; a tuple works too.
-    pairs = SemiSupervisedDataset(*_coupled_pairs(config, replication_index))
+    paired_target, source = _coupled_pairs(config, replication_index)
+    _check_finite_entries(paired_target, "paired_target")
+    _check_finite_entries(source, "paired_source")
     l_index = np.asarray(l_values)
     record = np.empty(8 * l_index.size + 5)
-    paired_target, k = pairs.paired_target, config.k
+    k = config.k
     try:
         target = _exceedances(paired_target, k,
                               float(np.partition(paired_target, -k - 1)[-k - 1]))
@@ -575,7 +578,6 @@ def _scan_replication(config: ExperimentConfig, l_values,
     except EstimationError:
         record.fill(np.nan)
         return record
-    source = pairs.paired_source
     cut = source.size - 1 - l_index.max()
     rows = np.flatnonzero(source >= np.partition(source, cut)[cut])
     order = rows[_descending_order(source[rows])]

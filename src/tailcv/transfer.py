@@ -10,7 +10,7 @@ bit-for-bit.
 
 from __future__ import annotations
 
-from .acv import SufficientStatistics
+from .acv import SufficientStatistics, variance_difference_plugin
 from .core import (
     EstimationError,
     EviEstimate,
@@ -29,8 +29,8 @@ __all__ = [
 ]
 
 
-def _transferred_hill(stats: SufficientStatistics, estimate: bool = True):
-    """The estimate; with ``estimate=False`` its value alone, as a float."""
+def transferred_hill_from_variables(stats: SufficientStatistics, estimate: bool = True):
+    """The estimate, or with ``estimate=False`` (the ``ESTIMATORS`` flag) its value."""
     r_plugin = _ratio(stats.target)
     alpha, beta, _, degenerate = stats.coefficients(1, r_plugin)
     value = stats.corrected_ratio(1, alpha, beta)
@@ -40,7 +40,7 @@ def _transferred_hill(stats: SufficientStatistics, estimate: bool = True):
     variance_estimate = r_plugin * r_plugin / k_eff
     if not degenerate:
         try:
-            variance_estimate -= stats.variance_difference(r_plugin)
+            variance_estimate -= variance_difference_plugin(stats, r_plugin)
         except EstimationError:
             # The plug-in's raw sums can find the controls singular where
             # the coefficients' covariance, a rounding away, does not:
@@ -54,7 +54,9 @@ def _transferred_hill(stats: SufficientStatistics, estimate: bool = True):
     )
 
 
-def _transferred_moment(stats: SufficientStatistics, estimate: bool = True):
+def transferred_moment_from_variables(stats: SufficientStatistics,
+                                      estimate: bool = True):
+    """The estimate, or with ``estimate=False`` (the ``ESTIMATORS`` flag) its value."""
     alpha, beta, _, degenerate = stats.coefficients(1, _ratio(stats.target))
     alpha_prime, beta_prime, _, degenerate_second = stats.coefficients(
         2, _ratio(stats.target, 2))
@@ -75,14 +77,9 @@ def _transferred_moment(stats: SufficientStatistics, estimate: bool = True):
 ESTIMATORS = {
     Method.HILL: _hill,
     Method.MOMENT: _moment,
-    Method.TRANSFERRED_HILL: _transferred_hill,
-    Method.TRANSFERRED_MOMENT: _transferred_moment,
+    Method.TRANSFERRED_HILL: transferred_hill_from_variables,
+    Method.TRANSFERRED_MOMENT: transferred_moment_from_variables,
 }
-
-
-def transferred_hill_from_variables(stats: SufficientStatistics) -> EviEstimate:
-    """The transferred-Hill reader, kept because ``perfbench/`` traces this name."""
-    return _transferred_hill(stats)
 
 
 def transferred_hill(dataset: SemiSupervisedDataset, k: int,
@@ -108,12 +105,8 @@ def transferred_hill(dataset: SemiSupervisedDataset, k: int,
         degenerate coefficient system the value equals ``hill`` on the
         coupled target sample exactly.
     """
-    return _transferred_hill(SufficientStatistics.of(dataset, k, k_source))
-
-
-def transferred_moment_from_variables(stats: SufficientStatistics) -> EviEstimate:
-    """The transferred-moment reader, kept because ``perfbench/`` traces this name."""
-    return _transferred_moment(stats)
+    return transferred_hill_from_variables(
+        SufficientStatistics.of(dataset, k, k_source))
 
 
 def transferred_moment(dataset: SemiSupervisedDataset, k: int,
@@ -129,4 +122,5 @@ def transferred_moment(dataset: SemiSupervisedDataset, k: int,
     independently when degenerate; if both degenerate (or m = 0) the value
     equals ``moment`` on the coupled target sample exactly.
     """
-    return _transferred_moment(SufficientStatistics.of(dataset, k, k_source))
+    return transferred_moment_from_variables(
+        SufficientStatistics.of(dataset, k, k_source))

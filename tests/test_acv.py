@@ -16,6 +16,7 @@ from tailcv import (
     build_cv_variables,
     corrected_ratio,
     cv_coefficient,
+    cv_correlations,
     generate_dataset,
     hill,
     log_excess_indicators,
@@ -283,7 +284,7 @@ def test_python_float_algebra_equals_float64_algebra(cov, r_plugin):
             cov.tolist(), rows, r_plugin))
         old, old_warnings = hex_outcome(lambda: float64_coefficients(cov, rows, r_plugin))
         assert new == old and new_warnings <= old_warnings
-    new, new_warnings = hex_outcome(lambda: SufficientStatistics.correlations(stats))
+    new, new_warnings = hex_outcome(lambda: cv_correlations(stats))
     old, old_warnings = hex_outcome(lambda: float64_correlations(cov))
     assert new == old and new_warnings <= old_warnings
 

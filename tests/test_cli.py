@@ -10,12 +10,12 @@ from tailcv import (
     ExperimentConfig,
     Marginal,
     Method,
-    SufficientStatistics,
     bootstrap_study,
     generate_dataset,
     hill,
     run_rvr_experiment,
     simulate,
+    transfer,
     transferred_hill,
 )
 from tailcv.cli import (
@@ -311,13 +311,13 @@ def test_only_the_estimate_readers_compute_the_plug_in_variance(tmp_path, capsys
     path = tmp_path / "data.csv"
     write_semi_supervised_csv(str(path), dataset)
     calls = []
-    plug_in = SufficientStatistics.variance_difference
+    plug_in = transfer.variance_difference_plugin
 
     def spy(stats, gamma_hat):
         calls.append(gamma_hat)
         return plug_in(stats, gamma_hat)
 
-    with mock.patch.object(SufficientStatistics, "variance_difference", spy):
+    with mock.patch.object(transfer, "variance_difference_plugin", spy):
         report = run_rvr_experiment(config, workers=1)
         resamples = bootstrap_study(dataset, n_sub=100, resamples=10, k=10,
                                     workers=1)

@@ -453,7 +453,7 @@ def test_plug_in_spread_is_the_variance_of_the_combination(case, gamma):
     dataset, k, k_source = case
     stats = SufficientStatistics.of(dataset, k, k_source)
     try:
-        value = stats.variance_difference(gamma)
+        value = variance_difference_plugin(stats, gamma)
     except EstimationError:
         return
     assert value >= 0.0
@@ -467,7 +467,8 @@ def test_plug_in_spread_on_theta5_replications(theta5_config):
         dataset = generate_dataset(theta5_config, index)
         gamma = hill(dataset.paired_target, k).value
         for l in (20, 60, 100, 140, 400):
-            value = SufficientStatistics.of(dataset, k, l).variance_difference(gamma)
+            stats = SufficientStatistics.of(dataset, k, l)
+            value = variance_difference_plugin(stats, gamma)
             expected = ref_plugin(ref_variables(dataset, k, l), gamma, sample_spread)
             assert value > 0.0
             assert math.isclose(value, expected, rel_tol=1e-12), (index, l)
@@ -486,7 +487,8 @@ def test_plug_in_keeps_its_digits_far_from_one(theta5_config, scale, offset):
                                       offset + scale * dataset.extra_source)
         gamma = hill(moved.paired_target, k).value
         for l in (20, 100, 400):
-            value = SufficientStatistics.of(moved, k, l).variance_difference(gamma)
+            stats = SufficientStatistics.of(moved, k, l)
+            value = variance_difference_plugin(stats, gamma)
             expected = deviation_plugin(ref_variables(moved, k, l), gamma)
             assert math.isclose(value, expected, rel_tol=1e-10), (index, l)
         assert transferred_hill(moved, k).variance_estimate > 0.0
@@ -514,7 +516,8 @@ def test_plug_in_sums_tied_sources_in_row_order():
     dataset = tied_source_dataset()
     gamma = hill(dataset.paired_target, 20).value
     for l in (61, 64, 69, 74):
-        value = SufficientStatistics.of(dataset, 20, l).variance_difference(gamma)
+        stats = SufficientStatistics.of(dataset, 20, l)
+        value = variance_difference_plugin(stats, gamma)
         assert value == ref_plugin(ref_variables(dataset, 20, l), gamma), l
 
 
@@ -558,18 +561,18 @@ def test_m_zero_shift_is_exactly_zero(theta5_dataset, theta5_config):
                                      paired_source=theta5_dataset.paired_source)
     stats = SufficientStatistics.of(no_extra, theta5_config.k)
     assert stats.source.full_means is stats.source.means
-    assert stats.variance_difference(0.25) == 0.0
+    assert variance_difference_plugin(stats, 0.25) == 0.0
     assert (ESTIMATORS[Method.TRANSFERRED_HILL](stats).value
             == hill(no_extra.paired_target, theta5_config.k).value)
 
 
 def test_one_moment_matrix_per_dataset(theta5_dataset, theta5_config):
     stats = SufficientStatistics.of(theta5_dataset, theta5_config.k)
-    assert stats.covariance.shape == (6, 6)
+    assert np.array(stats.entries).shape == (6, 6)
     v = ref_variables(theta5_dataset, theta5_config.k, theta5_config.k)
     n = v.n
     expected = ref_cov(v.a, v.g, v.b[:n], v.h[:n], v.c, v.d[:n])
-    assert np.array_equal(stats.covariance, expected)
+    assert np.array_equal(np.array(stats.entries), expected)
 
 
 def test_of_applies_the_k_rule_of_the_studies(theta5_dataset):
@@ -622,13 +625,12 @@ def test_every_reader_of_a_missing_covariance_raises_its_reason(reason):
             transferred_hill, transferred_moment, dependence_report, asymptotic_rvr)]
     assert stats.missing == reason
     readers = [
-        lambda: stats.covariance,
         lambda: stats.coefficients(1, 1.0),
         lambda: stats.coefficients(2, 1.0),
         lambda: stats.corrected_ratio(1, 0.0, 0.0),
         lambda: stats.corrected_ratio(2, 0.0, 0.0),
-        lambda: stats.variance_difference(0.5),
-        stats.correlations,
+        lambda: variance_difference_plugin(stats, 0.5),
+        lambda: cv_correlations(stats),
         lambda: ESTIMATORS[Method.TRANSFERRED_HILL](stats),
         lambda: ESTIMATORS[Method.TRANSFERRED_MOMENT](stats),
         lambda: _dependence_report(stats),
@@ -675,7 +677,7 @@ def state(stats):
 
 def covariance_bytes(stats):
     """The bits of the control covariance, or None where it is missing."""
-    return None if stats.missing else stats.covariance.tobytes()
+    return None if stats.missing else np.array(stats.entries).tobytes()
 
 
 def readings(stats, gamma):
@@ -687,7 +689,7 @@ def readings(stats, gamma):
             return f"EstimationError: {error}"
 
     return ([bits(_replication_record(stats, METHODS)),
-             reading(lambda: stats.variance_difference(gamma))]
+             reading(lambda: variance_difference_plugin(stats, gamma))]
             + [reading(lambda: ESTIMATORS[method](stats)) for method in METHODS])
 
 
@@ -913,15 +915,15 @@ def reference_block_state(dataset, k, k_source, pieces):
     summed alone), with the covariance from ``ref_cov``."""
     target = sorted_side(dataset.paired_target, k)
     source = sorted_side(dataset.paired_source, k_source, pieces)
-    covariance, missing = None, "log-transform undefined"
+    entries, missing = None, "log-transform undefined"
     if target.excess is not None and source.excess is not None:
-        covariance = ref_cov(target.excess, target.square, source.excess, source.square,
-                             target.indicator, source.indicator)
+        entries = ref_cov(target.excess, target.square, source.excess, source.square,
+                          target.indicator, source.indicator).tolist()
         missing = None
     at_k = np.sort(dataset.paired_source)[dataset.n - k - 1]
     joint = (dataset.paired_target > target.threshold) & (dataset.paired_source > at_k)
     return block_state(SimpleNamespace(
-        target=target, source=source, covariance=covariance,
+        target=target, source=source, entries=entries,
         lambda_hat=float(np.count_nonzero(joint) / k), missing=missing))
 
 

@@ -441,6 +441,28 @@ def test_report_to_dict_is_json_clean():
     assert payload["asymptotic_rvr_mean"] is None
 
 
+def test_the_traced_readers_are_the_functions_that_run():
+    # The benchmark times a reader by wrapping its module-level name, so that
+    # name must hold the code the studies and estimators call.
+    config = ExperimentConfig(gamma_t=0.25, theta=10.0, n=1000, m=5000, k=100,
+                              source_marginal=Marginal.pareto(0.5),
+                              replications=2, seed=20260826)
+    dependence = tailcv.dependence
+    with mock.patch.object(dependence, "cv_correlations",
+                           wraps=dependence.cv_correlations) as correlations:
+        tailcv.simulate._run_replication(config, 0)
+    assert correlations.call_count == 1
+    dataset = generate_dataset(config, 0)
+    stats = tailcv.SufficientStatistics.of(dataset, config.k)
+    with mock.patch.object(tailcv.transfer, "variance_difference_plugin",
+                           wraps=tailcv.transfer.variance_difference_plugin) as plug_in:
+        tailcv.simulate._estimate_values(stats, config.estimators)
+        assert plug_in.call_count == 0
+        estimate = tailcv.transferred_hill(dataset, config.k)
+    assert plug_in.call_count == 1
+    assert not estimate.coefficients.degenerate
+
+
 # ------------------------------------------------------------------- scan
 
 def test_scan_single_l_matches_direct_computation():
@@ -630,6 +652,20 @@ def test_scan_rejects_a_non_finite_coupled_value_as_generate_dataset_does():
     target, source = tailcv.simulate._coupled_pairs(config, 0)
     target[np.argmax(target)] = np.inf
     message = "paired_target contains non-finite entries"
+    with mock.patch("tailcv.simulate._coupled_pairs", return_value=(target, source)):
+        with pytest.raises(ValueError, match=message):
+            generate_dataset(config, 0)
+        with pytest.raises(ValueError, match=message):
+            source_threshold_scan(config, [20], workers=1)
+
+
+def test_scan_rejects_a_non_finite_source_value_as_generate_dataset_does():
+    config = ExperimentConfig(gamma_t=0.5, theta=2.0, n=200, m=50, k=20,
+                              source_marginal=Marginal.pareto(0.5),
+                              replications=2)
+    target, source = tailcv.simulate._coupled_pairs(config, 0)
+    source[np.argmin(source)] = np.nan
+    message = "paired_source contains non-finite entries"
     with mock.patch("tailcv.simulate._coupled_pairs", return_value=(target, source)):
         with pytest.raises(ValueError, match=message):
             generate_dataset(config, 0)

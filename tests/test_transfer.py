@@ -20,6 +20,7 @@ from tailcv import (
     transferred_hill,
     transferred_hill_from_variables,
     transferred_moment,
+    variance_difference_plugin,
 )
 
 
@@ -184,7 +185,7 @@ def test_controls_singular_in_the_plug_in_alone_report_the_baseline_variance():
         stats = SufficientStatistics.of(near_singular_dataset(spread), 10, 8)
         degenerate = stats.coefficients(1, 0.5)[3]
         try:
-            stats.variance_difference(0.5)
+            variance_difference_plugin(stats, 0.5)
         except EstimationError as error:
             assert str(error) == "degenerate control variate"
             return degenerate, True
