@@ -20,10 +20,9 @@ from .core import (
     Exceedances,
     SemiSupervisedDataset,
     _column_block,
-    _descending_order,
     _exceedances,
-    _prefix_sums,
     _side,
+    _source_sums,
     _validated_k,
 )
 
@@ -193,19 +192,18 @@ def _shifted_ratio(numerator, numerator_shift, denominator, denominator_shift,
     return float(numerator / denominator)
 
 
-def _variance_differences(sums, count, log_threshold, target_means,
-                          gamma_hat, n: int, m: int):
+def _variance_differences(cells, target_means, gamma_hat, n: int, m: int):
     """``variance_difference_plugin`` at one l or at many.
 
-    ``sums`` are ``core._prefix_sums`` columns over the source's ``count``
-    exceedances of a threshold whose log, less the sums' origin, is
-    ``log_threshold``; all three are scalars or arrays over l, or over
+    ``cells`` holds the eight rows of ``core._source_sums``: six sums over
+    the source's exceedances, their count and the threshold's log less the
+    sums' origin; each row is a scalar or an array over l, or over
     (replication, l) with ``target_means`` and ``gamma_hat`` as one column
     per replication. Every step is element-wise. With
     b = (L - log_threshold) * d over the n coupled rows, the seven entries
     are Cov(x, y) = (Σxy - Σx * mean(y)) / (n - 1). A degenerate value is NaN.
     """
-    sum_l, sum_ll, sum_a, sum_al, sum_c, sum_cl = sums
+    sum_l, sum_ll, sum_a, sum_al, sum_c, sum_cl, count, log_threshold = cells
     mean_a, _, mean_c = target_means
     sum_b = sum_l - count * log_threshold
     sum_bb = (sum_ll - 2.0 * log_threshold * sum_l
@@ -343,23 +341,15 @@ def variance_difference_plugin(stats: SufficientStatistics, gamma_hat: float) ->
     defined, spread >= 0 and det > 0. The variance estimate, baseline
     minus this, can be negative; threshold scans count those cells.
 
-    The seven entries come in raw-sum form, Cov(x, y) = (Σxy - Σx *
-    mean(y)) / (n - 1), from ``core._prefix_sums`` over the source's
-    coupled exceedances in ``core._descending_order``: the largest
-    value first, ties in row order. Those rows are the first of the
-    whole coupled source in that order, so a threshold scan reads the
-    same sums, with the same bits, from one sort for every l.
+    The seven entries come in raw-sum form from ``core._source_sums`` at
+    l = k_source, so a threshold scan cell has the same bits.
     """
     stats._entries()  # raises EstimationError when the covariance is missing
     target, source = stats.target, stats.source
     if target.means[2] == 0.0:
         raise EstimationError("no exceedances")
-    rows = np.flatnonzero(source.indicator)
-    rows = rows[_descending_order(source.values[rows])]
-    origin, sums = _prefix_sums(source.values[rows], target.excess[rows],
-                                target.indicator[rows])
     value = _variance_differences(
-        sums[:, -1], rows.size, np.log(source.threshold) - origin,
+        _source_sums(source.values, target, np.array([source.k]))[:, 0],
         target.means, gamma_hat, stats.n, source.m)
     if np.isnan(value):
         raise EstimationError("degenerate control variate")

@@ -164,30 +164,6 @@ def order_statistics(sample) -> np.ndarray:
     return np.sort(arr)
 
 
-def _descending_order(values) -> np.ndarray:
-    """Indices that put ``values`` from largest to smallest, ties in input order."""
-    return np.argsort(-np.asarray(values, dtype=float), kind="stable")
-
-
-def _prefix_sums(ranked, a, c) -> tuple[float, np.ndarray]:
-    """Sums over the j largest values for every j at once, from one pass.
-
-    ``ranked`` holds positive values in ``_descending_order``, and ``a`` and
-    ``c`` the rows that go with them. Column j of the returned (6, size + 1)
-    array sums L, L², a, a·L, c and c·L over the first j rows, in that
-    order; column 0 is zeros. L is ln(value) - origin, and the returned
-    origin is the log of the largest value (0.0 when there is none), so the
-    sums do not grow with the values' scale. Each row is summed in order
-    (``np.cumsum``), so column j has the same bits whatever rows follow it.
-    """
-    log = np.log(ranked)
-    origin = float(log[0]) if log.size else 0.0
-    log -= origin
-    sums = np.zeros((6, log.size + 1))
-    np.cumsum((log, log * log, a, a * log, c, c * log), axis=1, out=sums[:, 1:])
-    return origin, sums
-
-
 def _integer(value, name: str) -> int:
     """value as an int; a float, a string or any other non-integer is rejected."""
     try:
@@ -347,6 +323,48 @@ def _side(block, rows: tuple, sums, coupled, k: int, threshold: float,
     excess, square, indicator = (block[row] for row in rows)
     return Exceedances(k, threshold, indicator, int(own[2]), m, excess, square,
                        means, full_means, coupled)
+
+
+def _source_sums(source: np.ndarray, target: Exceedances,
+                 l_index: np.ndarray) -> np.ndarray:
+    """What the variance plug-in reads at each l in ``l_index``, as one (8, L) array.
+
+    ``source`` holds the n coupled source values and ``target`` the target
+    side, with its log-excesses a and indicators c. t_l is the (n-l)-th
+    ascending order statistic of ``source``. Column i, at l = l_index[i],
+    holds the sums of L, L², a, a·L, c and c·L over the rows above t_l (above
+    0 when t_l <= 0), their count, and ln(t_l) less the origin, NaN when
+    t_l <= 0. L is ln(value) less the origin, the log of the largest value
+    (0.0 when no row is summed), so the sums do not grow with the scale.
+    """
+    # Sorted largest first, ties in row order (a stable sort), each
+    # threshold's exceedances are the first rows, so one cumulative pass
+    # gives the sums at every l, each with the same bits whatever rows follow.
+    # Only the rows at or above the (l_max + 1)-th largest value are sorted:
+    # in row order, with the stable rule, they are the first rows of the full
+    # order, so every sum has the bits a full sort gives.
+    cut = source.size - 1 - l_index.max()
+    rows = np.flatnonzero(source >= np.partition(source, cut)[cut])
+    order = rows[np.argsort(-source[rows], kind="stable")]
+    ranked = source[order]
+    thresholds = ranked[l_index]
+    # The count strictly above each threshold (below l where values tie), or
+    # above 0 for a threshold at or below 0, so no value at or below 0 is logged.
+    counts = np.searchsorted(-ranked, -np.fmax(thresholds, 0.0))
+    top = order[:counts.max()]
+    log = np.log(ranked[:top.size])
+    origin = float(log[0]) if log.size else 0.0
+    log -= origin
+    a, c = target.excess[top], target.indicator[top]
+    prefix = np.zeros((6, top.size + 1))
+    np.cumsum((log, log * log, a, a * log, c, c * log), axis=1, out=prefix[:, 1:])
+    sums = np.empty((8, l_index.size))
+    np.take(prefix, counts, axis=1, out=sums[:6])
+    sums[6] = counts
+    sums[7] = np.nan
+    np.log(thresholds, out=sums[7], where=thresholds > 0)
+    sums[7] -= origin
+    return sums
 
 
 def build_cv_variables(dataset: SemiSupervisedDataset, k: int,

@@ -219,5 +219,7 @@ def dependence_report(dataset: SemiSupervisedDataset, k: int,
 
 
 def _dependence_report(stats: SufficientStatistics) -> DependenceReport:
-    cv_correlations(stats)  # raises the reason they are undefined
-    return _report(_diagnostics(stats))
+    record = _diagnostics(stats)
+    if math.isnan(record["corr_ab"]):  # exactly when cv_correlations raises
+        cv_correlations(stats)  # raises the reason they are undefined
+    return _report(record)

@@ -24,11 +24,10 @@ from .core import (
     Method,
     SemiSupervisedDataset,
     _check_finite_entries,
-    _descending_order,
     _exceedances,
     _integer,
     _json_fields,
-    _prefix_sums,
+    _source_sums,
     _valid_k,
     _validated_k,
 )
@@ -551,20 +550,14 @@ def _scan_replication(config: ExperimentConfig, l_values,
                       replication_index: int) -> np.ndarray:
     """What one replication gives the plug-in at each l, as one flat record.
 
-    With L values of l, the record holds eight rows of L: the six
-    ``core._prefix_sums`` columns at each l's count of exceedances, that
-    count, and log(t_l) less the sums' origin; then the target means, the
-    baseline Hill value and its variance. ``_scan_block`` reads it. A failed
-    baseline gives a record of NaN, and a threshold at or below 0 a NaN log,
-    which makes the cell NaN; no value at or below 0 is logged.
+    With L values of l, the record holds the eight rows of L of
+    ``core._source_sums``, then the target means, the baseline Hill value
+    and its variance. ``_scan_block`` reads it. A failed baseline gives a
+    record of NaN, and a threshold at or below 0 a NaN log, which makes the
+    cell NaN. The study passes ``l_values`` as one int array; a tuple works
+    too.
     """
     # No extra source value is drawn: m enters the plug-in only as a count.
-    # Sorted largest first, each threshold's exceedances are a prefix, so one
-    # pass of prefix sums gives the seven covariance entries the plug-in reads
-    # at every l. Only the rows at or above the (l_max + 1)-th largest value
-    # are sorted: in row order, with the stable rule, they are the first rows
-    # of the full order, so every cell has the bits a full sort gives. The
-    # study passes ``l_values`` as one int array; a tuple works too.
     paired_target, source = _coupled_pairs(config, replication_index)
     _check_finite_entries(paired_target, "paired_target")
     _check_finite_entries(source, "paired_source")
@@ -578,24 +571,7 @@ def _scan_replication(config: ExperimentConfig, l_values,
     except EstimationError:
         record.fill(np.nan)
         return record
-    cut = source.size - 1 - l_index.max()
-    rows = np.flatnonzero(source >= np.partition(source, cut)[cut])
-    order = rows[_descending_order(source[rows])]
-    ranked = source[order]
-    thresholds = ranked[l_index]
-    # The count strictly above each threshold (below l where values tie), or
-    # above 0 for a threshold at or below 0, so only positive rows are summed.
-    counts = np.searchsorted(-ranked, -np.fmax(thresholds, 0.0))
-    top = order[:counts.max()]
-    origin, sums = _prefix_sums(ranked[:top.size], target.excess[top],
-                                target.indicator[top])
-    cells = record[:-5].reshape(8, -1)
-    np.take(sums, counts, axis=1, out=cells[:6])
-    cells[6] = counts
-    log_threshold = cells[7]
-    log_threshold.fill(np.nan)
-    np.log(thresholds, out=log_threshold, where=thresholds > 0)
-    log_threshold -= origin
+    record[:-5] = _source_sums(source, target, l_index).ravel()
     record[-5:] = (*target.means, baseline.value, baseline.variance_estimate)
     return record
 
@@ -604,17 +580,16 @@ def _scan_block(config: ExperimentConfig, l_index: np.ndarray, block) -> np.ndar
     """The scan cells of the replications in ``block``, one row per l.
 
     Each replication's record comes from ``_scan_replication``; one
-    ``acv._variance_differences`` call then takes every cell of the block,
-    with the means and the baseline value as one column per replication.
-    Every step is element-wise, so each cell has the bits of a replication
-    evaluated alone.
+    ``acv._variance_differences`` call then takes the (8, replications, L)
+    view of every record's sums, with the means and the baseline value as
+    one column per replication. Every step is element-wise, so each cell has
+    the bits of a replication evaluated alone.
     """
     records = np.array([_scan_replication(config, l_index, index) for index in block])
     cells = records[:, :-5].reshape(len(records), 8, l_index.size)
     scalars = records[:, -5:, None].transpose(1, 0, 2)
-    differences = _variance_differences(
-        cells[:, :6].transpose(1, 0, 2), cells[:, 6], cells[:, 7], scalars[:3],
-        scalars[3], config.n, config.m)
+    differences = _variance_differences(cells.transpose(1, 0, 2), scalars[:3],
+                                        scalars[3], config.n, config.m)
     return (scalars[4] - differences).T
 
 

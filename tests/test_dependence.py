@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import tailcv.dependence
 from tailcv import (
     EstimationError,
     SemiSupervisedDataset,
@@ -157,6 +160,22 @@ def test_dependence_report_fields(theta5_dataset, theta5_config):
     for value in (report.corr_ab, report.corr_cd, report.c_ab_hat,
                   report.c_ad_hat):
         assert np.isfinite(value)
+
+
+def test_dependence_report_computes_the_correlations_once(theta5_dataset,
+                                                          theta5_config):
+    with mock.patch.object(tailcv.dependence, "cv_correlations",
+                           wraps=cv_correlations) as spy:
+        report = dependence_report(theta5_dataset, theta5_config.k)
+        assert spy.call_count == 1
+        assert np.isfinite(report.corr_ab) and np.isfinite(report.corr_cd)
+        # Where they are undefined, the report still raises their reason.
+        five = np.array([1.0, 2, 4, 8, 16])
+        for source, reason in ((five - 20.0, "log-transform undefined"),
+                               (np.ones(5), "degenerate control variate")):
+            ds = SemiSupervisedDataset(paired_target=five, paired_source=source)
+            with pytest.raises(EstimationError, match=reason):
+                dependence_report(ds, 2)
 
 
 def test_dependence_report_weak_dependence_nan_moments():
