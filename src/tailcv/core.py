@@ -281,10 +281,12 @@ def exceedances(coupled, k: int, extra=()) -> Exceedances:
     from ``np.partition``: a value, so the one a sort gives. A sample that
     is not one-dimensional or holds a non-finite value raises ValueError.
     ``extra`` holds the m extra values in 1-d pieces in input order, like
-    ``(values,)``; only those above the threshold are joined and logged, so
-    no (n + m)-long column is built.
+    ``(values,)``, or as one 1-d array; only those above the threshold are
+    joined and logged, so no (n + m)-long column is built.
     """
     coupled = _readonly_vector(coupled, "sample")
+    if isinstance(extra, np.ndarray) and extra.ndim == 1:
+        extra = (extra,)  # one piece, not one piece per value
     extra = [np.asarray(piece, dtype=float) for piece in extra]
     if coupled.size == 0:
         raise EstimationError("empty sample")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -59,10 +59,115 @@ _ROLE_BOOTSTRAP = 2
 DEFAULT_ESTIMATORS = tuple(Method)
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): INIT_A
+# and MULT_A start and step hashmix's multiplier, INIT_B and MULT_B those of
+# generate_state, and MIX_MULT_L and MIX_MULT_R are mix's multipliers; all
+# act on 32-bit words, in a pool of 4.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+# Stream keys are derived for this many replication indices at a time.
+_KEY_BLOCK = 1024
+# Philox's starting counter, 0, as an array: Philox splits an int counter
+# into words in a Python loop, about half its construction time.
+_PHILOX_COUNTER = np.zeros(4, dtype=np.uint64)
+_PHILOX_COUNTER.flags.writeable = False
+
+
 def _stream(seed: int, index: int, role: int) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, replication index, role)."""
-    sequence = np.random.SeedSequence(entropy=seed, spawn_key=(index, role))
-    return np.random.Generator(np.random.Philox(sequence))
+    """Counter-based generator keyed by (seed, replication index, role).
+
+    It is ``Generator(Philox(SeedSequence(entropy=seed, spawn_key=(index,
+    role))))``, draw for draw, with the Philox key read from
+    ``_stream_keys``' table of the index's block instead of from a new
+    SeedSequence. That table repeats SeedSequence's arithmetic with its
+    constants (``_INIT_A``, ``_MULT_A``, ``_INIT_B``, ``_MULT_B``, ``_MIX_L``,
+    ``_MIX_R``, from numpy/random/bit_generator.pyx) for a block of indices
+    at once. The bit generator's ``seed_seq`` holds only the key, so it
+    cannot spawn child sequences; nothing in tailcv spawns.
+    """
+    from ._philox_key import PhiloxKey  # loads numpy.random on the first stream
+
+    block, offset = divmod(index, _KEY_BLOCK)
+    key = _stream_keys(seed, block)[offset, role]
+    return np.random.Generator(np.random.Philox(PhiloxKey(key), counter=_PHILOX_COUNTER))
+
+
+def _words(value: int) -> list:
+    """The 32-bit words of a non-negative int, lowest first, as SeedSequence
+    reads it: one word below 2**32 (0 included), two below 2**64, and so on.
+    A negative int raises SeedSequence's ValueError."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hasher(hash_const: int, multiplier: int):
+    """SeedSequence's word hash, whose constant steps by ``multiplier`` on
+    each call: hashmix from (_INIT_A, _MULT_A), generate_state from
+    (_INIT_B, _MULT_B). The masks keep ints to 32 bits; uint32 arrays wrap."""
+    def hash_word(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * multiplier & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+    return hash_word
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words."""
+    result = (x * _MIX_L - y * _MIX_R) & _MASK32
+    return result ^ result >> 16
+
+
+@lru_cache(maxsize=2)
+def _stream_keys(seed: int, block: int) -> np.ndarray:
+    """Philox keys of indices block * _KEY_BLOCK + (0 .. _KEY_BLOCK - 1) by
+    role 0-2, shape (_KEY_BLOCK, 3, 2) uint64: what
+    ``SeedSequence(entropy=seed, spawn_key=(index, role)).generate_state(2,
+    np.uint64)`` gives.
+
+    SeedSequence reads the seed's words padded with zeros to the pool size,
+    then the index's words, then the role's. It hashes the first four into
+    the pool and mixes the pool's words with each other, which depends on the
+    seed alone and runs on ints. Each later word is hashed and mixed into
+    every pool word; that runs on uint32 arrays, the index's lowest word down
+    the rows and the role across the columns. A block starts at a multiple of
+    2**10, so its indices share every word but the lowest, and the lowest
+    does not carry.
+    """
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    words = _words(seed)
+    words += [0] * (_POOL_SIZE - len(words))
+    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
+    for source in range(_POOL_SIZE):
+        for target in range(_POOL_SIZE):
+            if source != target:
+                pool[target] = _mix(pool[target], hashmix(pool[source]))
+
+    def column(values):
+        return [np.full((1, 1), value, dtype=np.uint32) for value in values]
+
+    start = block * _KEY_BLOCK
+    lowest = np.arange(_KEY_BLOCK, dtype=np.uint32)[:, None] + (start & _MASK32)
+    pool = column(pool)
+    for word in (column(words[_POOL_SIZE:]) + [lowest] + column(_words(start)[1:])
+                 + [np.arange(_ROLE_BOOTSTRAP + 1, dtype=np.uint32)]):
+        for target in range(_POOL_SIZE):
+            pool[target] = _mix(pool[target], hashmix(word))
+    # generate_state(2, np.uint64): four words from the pool, read as two
+    # little-endian 64-bit words.
+    state = np.stack(list(map(_hasher(_INIT_B, _MULT_B), pool)), axis=-1)
+    keys = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    keys.flags.writeable = False  # the cache hands this one array to every caller
+    return keys
 
 
 # The parameters each marginal family reads.

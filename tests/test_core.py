@@ -280,6 +280,20 @@ def test_extras_must_come_in_pieces():
         exceedances([1.0, 2, 3, 4, 5], 2, extra=[6.0, 7.0])
 
 
+@pytest.mark.parametrize("extra", [np.array([6.0, 7.0, 1.5, 4.5]), np.array([0.5]),
+                                   np.array([])], ids=["four", "one", "none"])
+def test_a_one_dimensional_array_of_extras_is_one_piece(extra):
+    coupled = [1.0, 2, 3, 4, 5]
+    got, expected = (exceedances(coupled, 2, extra=form) for form in (extra, (extra,)))
+    assert got.m == expected.m == extra.size
+    for name, value in vars(expected).items():
+        other = getattr(got, name)
+        if isinstance(value, np.ndarray):
+            assert other.tobytes() == value.tobytes(), name
+        else:
+            assert repr(other) == repr(value), name
+
+
 def test_statistics_build_no_full_length_column():
     # The bootstrap-wide shape: 500 coupled pairs and 24,500 extra values.
     config = ExperimentConfig(gamma_t=0.25, theta=5.0, n=500, m=24_500, k=50,

@@ -46,7 +46,8 @@ OUTPUTS = ("estimate.json", "estimate-k-source.json", "simulate/rvr_report.json"
            "simulate/estimates.csv", "simulate-weak/rvr_report.json",
            "simulate-weak/estimates.csv", "threshold-scan.csv",
            "threshold-scan-normal.csv", "bootstrap.csv", "bootstrap-replacement.csv",
-           "hill-plot.csv", "rvr-sweep/sweep.csv")
+           "hill-plot.csv", "rvr-sweep/sweep.csv", "simulate-full/rvr_report.json",
+           "simulate-full/estimates.csv", "threshold-scan-full.csv")
 
 
 def _platform() -> tuple:
@@ -98,6 +99,13 @@ def _outputs(directory: str) -> dict:
         ["threshold-scan", "--config",
          _config("scan.cfg", directory, "scan.cfg", replications=20),
          "--l-min", "60", "--l-max", "140", "--out", out["threshold-scan.csv"]],
+        # The full-size study and scan, the only cases past replication 49.
+        # The study's 2,000 replications cross the 1,024-index blocks in which
+        # the streams' keys are derived.
+        ["simulate", "--config", os.path.join(CONFIGS, "headline.cfg"),
+         "--out", os.path.join(directory, "simulate-full")],
+        ["threshold-scan", "--config", os.path.join(CONFIGS, "scan.cfg"),
+         "--l-min", "60", "--l-max", "140", "--out", out["threshold-scan-full.csv"]],
         ["threshold-scan", "--config", normal, "--l-min", "1", "--l-max", "999",
          "--out", out["threshold-scan-normal.csv"]],
         ["rvr-sweep", "--config",
@@ -165,7 +173,8 @@ def _mismatches(got: list, expected: list, rtol: float, atol: float = 0.0) -> li
     return found
 
 
-def _load_reference() -> dict:
+@pytest.fixture(scope="module")
+def reference():
     with open(REFERENCE_PATH) as handle:
         return json.load(handle)
 
@@ -176,8 +185,7 @@ def outputs(tmp_path_factory):
 
 
 @pytest.mark.parametrize("name", OUTPUTS)
-def test_output_matches_its_reference(outputs, name):
-    reference = _load_reference()
+def test_output_matches_its_reference(reference, outputs, name):
     stored, data = reference["outputs"][name], outputs[name]
     if _platform() == (reference["numpy"], reference["cpu_features"]):
         assert hashlib.sha256(data).hexdigest() == stored["sha256"], \

@@ -1,10 +1,12 @@
 import json
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from dataclasses import astuple, replace
 from functools import partial
 from unittest import mock
@@ -33,11 +35,13 @@ from tailcv import (
     variance_difference_plugin,
 )
 from tailcv.simulate import (
+    _KEY_BLOCK,
     _ROLE_COUPLED,
     _ROLE_EXTRA,
     _open_unit,
     _scan_block,
     _stream,
+    _stream_keys,
 )
 
 
@@ -942,3 +946,58 @@ def test_stream_roles_are_distinct():
     coupled = _stream(5, 0, 0).random(8)
     extra = _stream(5, 0, 1).random(8)
     assert not np.array_equal(coupled, extra)
+
+
+def _seed_sequence_stream(seed, index, role):
+    """The generator ``_stream`` stands for, built from a SeedSequence."""
+    sequence = np.random.SeedSequence(entropy=seed, spawn_key=(index, role))
+    return np.random.Generator(np.random.Philox(sequence))
+
+
+# Each index below 2**32 is one 32-bit word of the key's input, and each one
+# from there to 2**64 two; a block of keys ends at 1023 and the next starts at
+# 1024.
+_WORD_EDGES = (0, 1023, 1024, 2 ** 32 - 1, 2 ** 32, 2 ** 40)
+
+
+@given(seed=st.integers(0, 2 ** 64 - 1),
+       index=st.sampled_from(_WORD_EDGES) | st.integers(0, 2 ** 64 - 1),
+       role=st.integers(0, 2))
+@example(seed=0, index=0, role=0)
+@example(seed=2 ** 64 - 1, index=2 ** 32, role=2)
+@example(seed=2 ** 32, index=2 ** 32 - 1, role=1)
+def test_stream_draws_equal_the_seed_sequence_generators(seed, index, role):
+    expected = _seed_sequence_stream(seed, index, role)
+    block, offset = divmod(index, _KEY_BLOCK)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no integer overflow warning either
+        keys = _stream_keys.__wrapped__(seed, block)
+    key = expected.bit_generator.state["state"]["key"]
+    assert keys[offset, role].tolist() == key.tolist()
+    assert _stream(seed, index, role).random(8).tobytes() == expected.random(8).tobytes()
+
+
+def test_a_negative_replication_index_keeps_seed_sequences_error():
+    config = ExperimentConfig(gamma_t=0.25, theta=5.0, n=100, m=50,
+                              source_marginal=Marginal.pareto(0.5))
+    for index in (-1, -2000):
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            generate_dataset(config, index)
+
+
+def test_stream_generator_pickles_and_resumes():
+    rng = _stream(20260826, 1500, _ROLE_EXTRA)
+    rng.random(3)
+    resumed = pickle.loads(pickle.dumps(rng))
+    assert resumed.random(16).tobytes() == rng.random(16).tobytes()
+    expected = _seed_sequence_stream(20260826, 1500, _ROLE_EXTRA)
+    expected.random(3 + 16)
+    assert resumed.random(16).tobytes() == expected.random(16).tobytes()
+
+
+def test_stream_key_cache_is_bounded():
+    maxsize = _stream_keys.cache_info().maxsize
+    assert maxsize is not None
+    for seed in range(maxsize + 3):
+        _stream(seed, 0, 0)
+    assert _stream_keys.cache_info().currsize == maxsize
