@@ -105,13 +105,15 @@ def cv_coefficient(a, b) -> float:
     """Exact control-variate coefficient Cov(a, b) / Var(b).
 
     This is the variance-minimizing coefficient for correcting the mean of
-    ``a`` with a control ``b`` of known mean, estimated with n-1 divisors.
+    ``a`` with a control ``b`` of known mean, estimated with n-1 divisors. A
+    constant control, or moments past float64's range, raise EstimationError.
     """
-    stats = moment_statistics(a, b)
-    var_b = stats.covariance[1, 1]
-    if var_b == 0.0:
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite entry
+        cov = moment_statistics(a, b).covariance.tolist()
+    value = cov[0][1] / cov[1][1] if cov[1][1] else math.nan
+    if not math.isfinite(value):
         raise EstimationError("degenerate control variate")
-    return float(stats.covariance[0, 1] / var_b)
+    return value
 
 
 def _degenerate(var_b, var_d, cov_bd, determinant, sqrt=np.sqrt):
@@ -154,14 +156,18 @@ def acv_ratio_coefficients(a, b, c, d, r_plugin: float) -> AcvCoefficients:
     Returns a degenerate (zero) pair when the control Gram matrix is singular
     to relative tolerance 1e-12, when the controls are numerically perfectly
     correlated, or when ``r_plugin`` is zero (the beta formula divides by it).
+    A pair or determinant past float64's range raises EstimationError.
     """
-    stats = moment_statistics(a, b, c, d)
-    if stats.count < 3:
-        raise EstimationError("need at least 3 coupled observations")
-    if not np.any(np.asarray(c, dtype=float)):
-        raise EstimationError("no exceedances")
-    return AcvCoefficients(*_coefficients(stats.covariance.tolist(), (0, 1, 2, 3),
-                                          r_plugin))
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite field
+        stats = moment_statistics(a, b, c, d)
+        if stats.count < 3:
+            raise EstimationError("need at least 3 coupled observations")
+        if not np.any(np.asarray(c, dtype=float)):
+            raise EstimationError("no exceedances")
+        values = _coefficients(stats.covariance.tolist(), (0, 1, 2, 3), r_plugin)
+    if not all(map(math.isfinite, values[:3])):
+        raise EstimationError("degenerate control variate")
+    return AcvCoefficients(*values)
 
 
 def corrected_ratio(numerator_coupled, numerator_all, denominator_coupled,

@@ -119,8 +119,11 @@ def _joint_scaled_excess_moments(stats: SufficientStatistics,
     Over indices where both coupled coordinates strictly exceed their
     thresholds, z_t and z_s are the log-excesses scaled by the given or
     default index estimates; c_ad = mean(z_t - 1) and c_ab = mean((z_t - 1) * z_s).
+    With every target exceedance joint and the default gamma_t_hat, c_ad is
+    0.0, as in exact arithmetic, not residue whose sign follows the kernels.
     """
     stats._entries()  # raises the reason when a side has no log-excesses
+    hill_scaled = gamma_t_hat is None
     gamma_t_hat, gamma_s_hat = _resolve_gamma_hats(stats, gamma_t_hat, gamma_s_hat)
     target, source = stats.target, stats.source
     joint = np.flatnonzero(target.indicator * source.indicator)
@@ -128,7 +131,8 @@ def _joint_scaled_excess_moments(stats: SufficientStatistics,
         raise EstimationError("tail dependence too weak to estimate")
     shifted = target.excess.take(joint) / gamma_t_hat - 1.0  # z_t - 1
     z_s = source.excess.take(joint) / gamma_s_hat
-    c_ad = float(np.add.reduce(shifted) / shifted.size)  # as np.mean, bit for bit
+    c_ad = (0.0 if hill_scaled and joint.size == target.count
+            else float(np.add.reduce(shifted) / shifted.size))  # np.mean, bit for bit
     c_ab = float(np.add.reduce(shifted * z_s) / shifted.size)
     return c_ab, c_ad
 

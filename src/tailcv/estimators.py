@@ -147,7 +147,7 @@ class HillPlotSeries:
 
 
 def hill_plot(sample, k_min: int, k_max: int, step: int = 1) -> HillPlotSeries:
-    """Hill estimates for k in [k_min, k_max] with the given step.
+    """Hill estimates for k in [k_min, k_max] with the given step, from one sort.
 
     Individual k values where the estimator degenerates (tied thresholds with
     no strict exceedances) are recorded as NaN rather than aborting the series.

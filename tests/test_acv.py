@@ -101,6 +101,25 @@ def test_cv_coefficient_degenerate_control():
         cv_coefficient([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
 
 
+# Pairs whose moments leave float64's range: an overflowing quotient, an
+# inf/inf, and a covariance that overflows to NaN without a warning.
+OVERFLOWING_PAIRS = (
+    ([1e270, -1e270, 2e270], [1e-39, -1e-39, 3e-39]),
+    ([1e98, -1e98, 2e98], [1e230, -1e230, 3e230]),
+    ([5.6e195, -3.8e196, 2.6e195], [-6.3e177, 5.5e176, 4.1e177]),
+)
+
+
+@pytest.mark.parametrize("a, b", OVERFLOWING_PAIRS)
+def test_public_coefficients_are_finite_or_raise(a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EstimationError, match="degenerate control variate"):
+            cv_coefficient(a, b)
+        with pytest.raises(EstimationError, match="degenerate control variate"):
+            acv_ratio_coefficients(a, b, [1, 0, 1], [1, 1, 0], 0.5)
+
+
 # ------------------------------------------------- optimized coefficients
 
 def test_coefficients_collapse_to_one_for_identical_controls():

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -176,6 +177,21 @@ def test_dependence_report_computes_the_correlations_once(theta5_dataset,
             ds = SemiSupervisedDataset(paired_target=five, paired_source=source)
             with pytest.raises(EstimationError, match=reason):
                 dependence_report(ds, 2)
+
+
+def test_c_ad_is_exactly_zero_when_every_target_exceedance_is_joint():
+    # Comonotone pairs at k_source > k: mean(z_t - 1) is 0 in exact arithmetic.
+    values = np.exp(_stream(1, 0, 0).normal(0.0, 1.0, 200))
+    ds = SemiSupervisedDataset(paired_target=values,
+                               paired_source=values * (1.0 + values))
+    report = dependence_report(ds, 20, 30)
+    assert report.lambda_hat == 1.0
+    assert report.c_ad_hat == 0.0 and math.copysign(1.0, report.c_ad_hat) == 1.0
+    # A given gamma_t_hat scales z_t otherwise, so the mean is computed.
+    stats = build_cv_variables(ds, 20, 30)
+    hill_t = stats.target.means[0] / stats.target.means[2]
+    _, c_ad = tailcv.dependence._joint_scaled_excess_moments(stats, 2 * hill_t, None)
+    assert c_ad == pytest.approx(-0.5)
 
 
 def test_dependence_report_weak_dependence_nan_moments():

@@ -283,7 +283,10 @@ def ref_scaled_moments(ds, k, k_source):
         raise EstimationError("tail dependence too weak to estimate")
     z_t = (np.log(target[joint]) - np.log(t_threshold)) / gamma_t
     z_s = (np.log(source[joint]) - np.log(s_threshold)) / gamma_s
-    return float(((z_t - 1.0) * z_s).mean()), float((z_t - 1.0).mean())
+    # With every target exceedance joint, mean(z_t - 1) is 0 at the Hill gamma_t.
+    every = joint.sum() == (target > t_threshold).sum()
+    return (float(((z_t - 1.0) * z_s).mean()),
+            0.0 if every else float((z_t - 1.0).mean()))
 
 
 REF_ESTIMATORS = {

@@ -6,8 +6,8 @@ version and the enabled SIMD features the file records, each output must
 have the stored SHA-256 digest. Otherwise numpy may dispatch to other
 kernels (without AVX-512 they move values by up to about 1.4e-11 relative),
 so the outputs are compared cell by cell: numbers at a relative tolerance of
-``RTOL`` or within ``ATOL`` of the stored value, and every other cell, an
-empty (non-finite) one included, as identical text.
+``RTOL``, and every other cell, an empty (non-finite) one included, as
+identical text.
 
 After a change that moves bits on purpose, regenerate the file with
 
@@ -35,12 +35,6 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 CONFIGS = os.path.join(os.path.dirname(HERE), "configs")
 REFERENCE_PATH = os.path.join(HERE, "reference_outputs.json")
 RTOL = 1e-10
-# A number that is 0 in exact arithmetic keeps only rounding residue, which
-# another kernel moves by more than RTOL: ``estimate`` at k_source > k gives
-# c_ad_hat, a mean of z_t - 1 over joint exceedances that hold every target
-# one, as 1.9e-17 here and -3.0e-16 without AVX-512. Every other stored
-# number is above 1e-4, where RTOL is the tighter bound.
-ATOL = 1e-15
 
 OUTPUTS = ("estimate.json", "estimate-k-source.json", "simulate/rvr_report.json",
            "simulate/estimates.csv", "simulate-weak/rvr_report.json",
@@ -156,8 +150,8 @@ def _number(text: str):
     return value if math.isfinite(value) else None
 
 
-def _mismatches(got: list, expected: list, rtol: float, atol: float = 0.0) -> list:
-    """The cells of ``got`` that differ from ``expected``, numbers beyond both tolerances."""
+def _mismatches(got: list, expected: list, rtol: float) -> list:
+    """The cells of ``got`` that differ from ``expected``, numbers beyond ``rtol``."""
     if [len(row) for row in got] != [len(row) for row in expected]:
         return ["the outputs differ in shape"]
     found = []
@@ -167,7 +161,7 @@ def _mismatches(got: list, expected: list, rtol: float, atol: float = 0.0) -> li
             if value is None or target is None:
                 same = cell == stored
             else:
-                same = math.isclose(value, target, rel_tol=rtol, abs_tol=atol)
+                same = math.isclose(value, target, rel_tol=rtol, abs_tol=0.0)
             if not same:
                 found.append(f"row {index} ({row[0]}): {cell!r} != {stored!r}")
     return found
@@ -191,7 +185,7 @@ def test_output_matches_its_reference(reference, outputs, name):
         assert hashlib.sha256(data).hexdigest() == stored["sha256"], \
             _mismatches(_cells(name, data), stored["cells"], 0.0)[:5]
     else:
-        assert _mismatches(_cells(name, data), stored["cells"], RTOL, ATOL) == []
+        assert _mismatches(_cells(name, data), stored["cells"], RTOL) == []
 
 
 def test_tolerance_takes_a_kernel_shift_but_not_a_larger_change():
@@ -200,14 +194,12 @@ def test_tolerance_takes_a_kernel_shift_but_not_a_larger_change():
     def moved(factor, last=""):
         return [["l", "median"], ["60", repr(0.25 * factor)], ["61", last]]
 
-    assert _mismatches(moved(1 + 1.4e-11), expected, RTOL, ATOL) == []
-    assert _mismatches(moved(1 + 1e-9), expected, RTOL, ATOL) != []
-    assert _mismatches(moved(1.0, "0.5"), expected, RTOL, ATOL) != []  # NaN pattern
-    assert _mismatches(moved(1.0)[:2], expected, RTOL, ATOL) != []
-    residue = [["c_ad_hat", "1.850371707708594e-17"]]
-    assert _mismatches([["c_ad_hat", "-3.0346096006420946e-16"]], residue,
-                       RTOL, ATOL) == []
-    assert _mismatches([["c_ad_hat", "1e-14"]], residue, RTOL, ATOL) != []
+    assert _mismatches(moved(1 + 1.4e-11), expected, RTOL) == []
+    assert _mismatches(moved(1 + 1e-9), expected, RTOL) != []
+    assert _mismatches(moved(1.0, "0.5"), expected, RTOL) != []  # NaN pattern
+    assert _mismatches(moved(1.0)[:2], expected, RTOL) != []
+    # No absolute slack: rounding residue does not pass for a stored 0.0.
+    assert _mismatches([["c_ad_hat", "1.9e-17"]], [["c_ad_hat", "0.0"]], RTOL) != []
 
 
 def _write() -> None:
