@@ -19,9 +19,7 @@ from .core import (
     EstimationError,
     Exceedances,
     SemiSupervisedDataset,
-    _column_block,
     _exceedances,
-    _side,
     _source_sums,
     _validated_k,
 )
@@ -78,7 +76,8 @@ class MomentStatistics:
 def moment_statistics(*sequences) -> MomentStatistics:
     """Sample means and covariance matrix (n-1 divisor) of aligned sequences.
 
-    All sequences must have the same length, at least 2.
+    All sequences must have the same length, at least 2. A mean or an entry
+    past float64's range raises EstimationError.
     """
     if not sequences:
         raise ValueError("at least one sequence required")
@@ -89,8 +88,12 @@ def moment_statistics(*sequences) -> MomentStatistics:
     if count < 2:
         raise ValueError("need at least 2 observations")
     stacked = np.array(arrays)
-    means = stacked.mean(axis=1)
-    return MomentStatistics(means, _covariance(stacked - means[:, None]), count)
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite value
+        means = stacked.mean(axis=1)
+        covariance = _covariance(stacked - means[:, None])
+    if not (np.isfinite(means).all() and np.isfinite(covariance).all()):
+        raise EstimationError("degenerate control variate")
+    return MomentStatistics(means, covariance, count)
 
 
 def _covariance(dev: np.ndarray) -> np.ndarray:
@@ -108,8 +111,7 @@ def cv_coefficient(a, b) -> float:
     ``a`` with a control ``b`` of known mean, estimated with n-1 divisors. A
     constant control, or moments past float64's range, raise EstimationError.
     """
-    with np.errstate(all="ignore"):  # an overflow shows as a non-finite entry
-        cov = moment_statistics(a, b).covariance.tolist()
+    cov = moment_statistics(a, b).covariance.tolist()
     value = cov[0][1] / cov[1][1] if cov[1][1] else math.nan
     if not math.isfinite(value):
         raise EstimationError("degenerate control variate")
@@ -289,24 +291,14 @@ class SufficientStatistics:
 
     @classmethod
     def _of_pool(cls, paired_target, paired_source, extra: tuple, k, k_source):
-        """``of`` reading validated pool slices in place, the extras in pieces."""
+        """``of`` reading validated pool slices in place, the extras in pieces:
+        one ``core._exceedances`` per side, λ̂ from the source's one partition."""
         k, k_source = _validated_k(k, k_source, paired_target.size)
-        target_threshold = float(np.partition(paired_target, -k - 1)[-k - 1])
+        target = _exceedances(paired_target, k,
+                              float(np.partition(paired_target, -k - 1)[-k - 1]))
         top = np.partition(paired_source, sorted({-k - 1, -k_source - 1}))
-        threshold, at_k = float(top[-k_source - 1]), top[-k - 1]
-        if target_threshold > 0 and threshold > 0:
-            block = _column_block(np.array((paired_target, paired_source)),
-                                  np.array((target_threshold, threshold)))
-            sums = np.add.reduce(block, axis=1)
-            target = _side(block, (_A, _G, _C), sums, paired_target, k,
-                           target_threshold)
-            source = _side(block, (_B, _H, _D), sums, paired_source, k_source,
-                           threshold, extra)
-        else:
-            target = _exceedances(paired_target, k, target_threshold)
-            source = _exceedances(paired_source, k_source, threshold, extra)
-        joint = np.logical_and(target.indicator, source.indicator if k_source == k
-                               else paired_source > at_k)
+        source = _exceedances(paired_source, k_source, float(top[-k_source - 1]), extra)
+        joint = np.logical_and(target.indicator, paired_source > top[-k - 1])
         return cls(target, source, float(np.count_nonzero(joint) / k))
 
     @property

@@ -187,11 +187,6 @@ def _validated_k(k, k_source, n: int) -> tuple[int, int]:
     return _valid_k(k, n), _valid_k(k_source, n)
 
 
-def _order_statistic(ordered: np.ndarray, k: int) -> float:
-    """The (n-k)-th entry of an ascending array, with 1 <= k <= n - 1."""
-    return float(ordered[ordered.size - _valid_k(k, ordered.size) - 1])
-
-
 def threshold_at(sample, k: int) -> float:
     """The (n-k)-th ascending order statistic, used as the random threshold.
 
@@ -201,28 +196,25 @@ def threshold_at(sample, k: int) -> float:
     k : int
         Number of extremes, 1 <= k <= n - 1.
     """
-    return _order_statistic(order_statistics(sample), k)
+    ordered = order_statistics(sample)
+    return float(ordered[ordered.size - _valid_k(k, ordered.size) - 1])
 
 
-def _column_block(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """The control columns of s samples of n values over positive thresholds.
+def _column_block(values: np.ndarray, threshold: float) -> np.ndarray:
+    """The control columns of n values over a positive threshold, as one (3, n) block.
 
-    ``values`` is (s, n) and ``thresholds`` (s,). Row 2i of the returned
-    (3s, n) block is sample i's log-excess ln(max(x, t)) - ln(t), exactly
-    +0.0 where x <= t (the log of t less itself), row 2i + 1 its square and
-    row 2s + i its strict exceedance indicator, 1.0 where x > t. For a
-    (target, source) pair the rows are a, g, b, h, c, d. These are the
-    columns that logging the exceedances alone gives as long as np.log
-    gives a value the same bits wherever it sits in an array.
+    Row 0 is the log-excess ln(max(x, t)) - ln(t), exactly +0.0 where
+    x <= t (the log of t less itself), row 1 its square and row 2 the strict
+    exceedance indicator, 1.0 where x > t. These are the columns that
+    logging the exceedances alone gives as long as np.log gives a value the
+    same bits wherever it sits in an array.
     """
-    sides = values.shape[0]
-    block = np.empty((3 * sides, values.shape[1]))
-    excess, square = block[:2 * sides:2], block[1:2 * sides:2]
-    limits = thresholds[:, None]
-    np.greater(values, limits, out=block[2 * sides:])
-    np.log(np.fmax(values, limits, out=excess), out=excess)
-    excess -= np.log(limits)
-    np.multiply(excess, excess, out=square)
+    block = np.empty((3, values.size))
+    excess = block[0]
+    np.greater(values, threshold, out=block[2])
+    np.log(np.fmax(values, threshold, out=excess), out=excess)
+    excess -= np.log(threshold)
+    np.multiply(excess, excess, out=block[1])
     return block
 
 
@@ -244,8 +236,7 @@ def log_excess_indicators(values, threshold: float) -> tuple[np.ndarray, np.ndar
     if not 0 < threshold < math.inf:
         raise EstimationError("log-transform undefined")
     arr = np.asarray(values, dtype=float)
-    excess, _, indicator = _column_block(arr.reshape(1, -1),
-                                         np.array([threshold], float))
+    excess, _, indicator = _column_block(arr.ravel(), float(threshold))
     return excess.reshape(arr.shape), indicator.reshape(arr.shape)
 
 
@@ -254,12 +245,12 @@ class Exceedances:
     """One side's exceedances of the (n-k)-th order statistic of its n coupled values.
 
     ``indicator`` (0/1), ``excess`` (log-excess, 0.0 off the exceedances) and
-    ``square`` hold the n coupled rows, as rows of one ``_column_block``,
-    ``count`` is their number of exceedances and ``means`` their means in
-    that order. ``full_means`` are the means over all n + m values, with the
-    m extra ones: the very tuple ``means`` when m = 0. ``values`` are the n
-    coupled values themselves. Only ``indicator``, ``count`` and ``m`` are
-    set when the threshold is not positive.
+    ``square`` hold the n coupled rows, as the rows of this side's own (3, n)
+    ``_column_block``, ``count`` is their number of exceedances and ``means``
+    their means in that order. ``full_means`` are the means over all n + m
+    values, with the m extra ones: the very tuple ``means`` when m = 0.
+    ``values`` are the n coupled values themselves. Only ``indicator``,
+    ``count`` and ``m`` are set when the threshold is not positive.
     """
 
     k: int
@@ -297,33 +288,23 @@ def exceedances(coupled, k: int, extra=()) -> Exceedances:
 
 
 def _exceedances(coupled, k: int, threshold: float, extra=()) -> Exceedances:
-    """``exceedances`` given the threshold: a one-sample ``_column_block``."""
-    if threshold <= 0:
-        indicator = (coupled > threshold).astype(float)
-        return Exceedances(k, threshold, indicator, int(np.count_nonzero(indicator)),
-                           sum(piece.size for piece in extra))
-    block = _column_block(coupled.reshape(1, -1), np.array([threshold]))
-    return _side(block, (0, 1, 2), np.add.reduce(block, axis=1), coupled, k,
-                 threshold, extra)
+    """``exceedances`` given the threshold: the coupled values' ``_column_block``.
 
-
-def _side(block, rows: tuple, sums, coupled, k: int, threshold: float,
-          extra=()) -> Exceedances:
-    """The side whose (excess, square, indicator) are ``rows`` of ``block``.
-
-    ``sums`` are the block's row sums and ``threshold`` is positive. Only
-    the extra values above it are joined and logged.
+    Only the extra values above a positive threshold are joined and logged.
     """
     n, m = coupled.size, sum(piece.size for piece in extra)
-    own = tuple(sums[row] for row in rows)
+    if threshold <= 0:
+        indicator = (coupled > threshold).astype(float)
+        return Exceedances(k, threshold, indicator, int(np.count_nonzero(indicator)), m)
+    block = _column_block(coupled, threshold)
+    own = np.add.reduce(block, axis=1)
     means = full_means = tuple(total / n for total in own)
     if m:
         above = np.concatenate([np.compress(p > threshold, p) for p in extra])
         log_excess = np.log(above) - np.log(threshold)
         more = (*map(np.add.reduce, (log_excess, log_excess * log_excess)), above.size)
         full_means = tuple((total + add) / (n + m) for total, add in zip(own, more))
-    excess, square, indicator = (block[row] for row in rows)
-    return Exceedances(k, threshold, indicator, int(own[2]), m, excess, square,
+    return Exceedances(k, threshold, block[2], int(own[2]), m, block[0], block[1],
                        means, full_means, coupled)
 
 

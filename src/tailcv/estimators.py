@@ -21,11 +21,9 @@ from .core import (
     Method,
     _exceedances,
     _integer,
-    _order_statistic,
     _readonly_vector,
     _valid_k,
     exceedances,
-    order_statistics,
 )
 
 __all__ = [
@@ -157,11 +155,11 @@ def hill_plot(sample, k_min: int, k_max: int, step: int = 1) -> HillPlotSeries:
         raise ValueError("step must be positive")
     k_values = np.arange(_valid_k(k_min, arr.size, "k_min"),
                          _valid_k(k_max, arr.size, "k_max") + 1, step)
-    ordered = order_statistics(arr)
+    ordered = np.sort(arr)
     estimates = np.empty(k_values.size)
     for i, k in enumerate(k_values):
         try:
-            estimates[i] = _ratio(_exceedances(arr, k, _order_statistic(ordered, k)))
+            estimates[i] = _ratio(_exceedances(arr, k, float(ordered[-k - 1])))
         except EstimationError:
             estimates[i] = np.nan
     return HillPlotSeries(k_values=k_values, estimates=estimates)

@@ -110,6 +110,17 @@ OVERFLOWING_PAIRS = (
 )
 
 
+# The last pair's covariance overflows to inf and NaN without a warning; the
+# second case's mean overflows with one.
+@pytest.mark.parametrize("a, b", [OVERFLOWING_PAIRS[2],
+                                  ([1e308, 1e308, 1.0], [1.0, 2.0, 3.0])])
+def test_moment_statistics_are_finite_or_raise(a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EstimationError, match="degenerate control variate"):
+            moment_statistics(a, b)
+
+
 @pytest.mark.parametrize("a, b", OVERFLOWING_PAIRS)
 def test_public_coefficients_are_finite_or_raise(a, b):
     with warnings.catch_warnings():

@@ -12,7 +12,7 @@ summing the coupled rows and the exceeding extras separately.
 ``threshold_at``, ``tail_dependence`` and ``moment_from_log_moments`` kept
 their code and are called directly. ``log_excess_indicators`` is called
 directly too, but it builds its columns with the package's own
-``core._exceedances``; ``sorted_side`` rebuilds a side's columns from a
+``core._column_block``; ``sorted_side`` rebuilds a side's columns from a
 full sort and one mask, independently of the package. The
 plug-in's reference (``ref_plugin``) takes its covariance entries in
 raw-sum form, as the plug-in does, adding up the source exceedances one at
@@ -896,7 +896,7 @@ def test_non_finite_samples_keep_their_messages(bad):
                 func(shape, 2)
 
 
-# ------------------------------------------- both sides' columns as one block
+# ------------------------------------------------------- each side's columns
 
 
 def block_state(stats):
@@ -963,8 +963,7 @@ def test_block_gives_the_state_of_sides_built_apart(case, cuts):
             assert side.excess.base is side.indicator.base is not None
             assert side.values is coupled
     if stats.missing is None:
-        assert stats.target.excess.base is stats.source.excess.base
-        # Sides that share no block give the same bits.
+        # Sides whose columns share no block give the same bits.
         apart = SufficientStatistics(
             *(replace(side, excess=side.excess.copy())
               for side in (stats.target, stats.source)), stats.lambda_hat)
