@@ -205,9 +205,9 @@ def _variance_differences(cells, target_means, gamma_hat, n: int, m: int):
 
     ``cells`` holds the eight rows of ``core._source_sums``: six sums over
     the source's exceedances, their count and the threshold's log less the
-    sums' origin; each row is a scalar or an array over l, or over
-    (replication, l) with ``target_means`` and ``gamma_hat`` as one column
-    per replication. Every step is element-wise. With
+    sums' origin; each row is a scalar, or an array over (replication, l)
+    with ``target_means`` and ``gamma_hat`` as one column per replication.
+    Every step is element-wise. With
     b = (L - log_threshold) * d over the n coupled rows, the seven entries
     are Cov(x, y) = (Σxy - Σx * mean(y)) / (n - 1). A degenerate value is NaN.
     """
@@ -339,16 +339,18 @@ def variance_difference_plugin(stats: SufficientStatistics, gamma_hat: float) ->
     defined, spread >= 0 and det > 0. The variance estimate, baseline
     minus this, can be negative; threshold scans count those cells.
 
-    The seven entries come in raw-sum form from ``core._source_sums`` at
-    l = k_source, so a threshold scan cell has the same bits.
+    The seven entries come in raw-sum form from ``core._source_sums``, on
+    this dataset as a block of one row at l = k_source, so a threshold scan
+    cell has the same bits.
     """
     stats._entries()  # raises EstimationError when the covariance is missing
     target, source = stats.target, stats.source
     if target.means[2] == 0.0:
         raise EstimationError("no exceedances")
-    value = _variance_differences(
-        _source_sums(source.values, target, np.array([source.k]))[:, 0],
-        target.means, gamma_hat, stats.n, source.m)
+    sums = _source_sums(source.values[None], target.excess[None],
+                        target.indicator[None], np.array([source.k]))
+    value = _variance_differences(sums[:, 0, 0], target.means, gamma_hat,
+                                  stats.n, source.m)
     if np.isnan(value):
         raise EstimationError("degenerate control variate")
     return float(value)

@@ -200,16 +200,17 @@ def threshold_at(sample, k: int) -> float:
     return float(ordered[ordered.size - _valid_k(k, ordered.size) - 1])
 
 
-def _column_block(values: np.ndarray, threshold: float) -> np.ndarray:
+def _column_block(values: np.ndarray, threshold: float | np.ndarray) -> np.ndarray:
     """The control columns of n values over a positive threshold, as one (3, n) block.
 
     Row 0 is the log-excess ln(max(x, t)) - ln(t), exactly +0.0 where
     x <= t (the log of t less itself), row 1 its square and row 2 the strict
     exceedance indicator, 1.0 where x > t. These are the columns that
     logging the exceedances alone gives as long as np.log gives a value the
-    same bits wherever it sits in an array.
+    same bits wherever it sits in an array. The threshold scan passes (B, n)
+    rows of values and a (B, 1) column of thresholds, and gets (3, B, n).
     """
-    block = np.empty((3, values.size))
+    block = np.empty((3, *values.shape))
     excess = block[0]
     np.greater(values, threshold, out=block[2])
     np.log(np.fmax(values, threshold, out=excess), out=excess)
@@ -308,41 +309,51 @@ def _exceedances(coupled, k: int, threshold: float, extra=()) -> Exceedances:
                        means, full_means, coupled)
 
 
-def _source_sums(source: np.ndarray, target: Exceedances,
+def _source_sums(source: np.ndarray, excess: np.ndarray, indicator: np.ndarray,
                  l_index: np.ndarray) -> np.ndarray:
-    """What the variance plug-in reads at each l in ``l_index``, as one (8, L) array.
+    """What the variance plug-in reads at each l in ``l_index``, as one (8, B, L) array.
 
-    ``source`` holds the n coupled source values and ``target`` the target
-    side, with its log-excesses a and indicators c. t_l is the (n-l)-th
-    ascending order statistic of ``source``. Column i, at l = l_index[i],
-    holds the sums of L, L², a, a·L, c and c·L over the rows above t_l (above
-    0 when t_l <= 0), their count, and ln(t_l) less the origin, NaN when
-    t_l <= 0. L is ln(value) less the origin, the log of the largest value
-    (0.0 when no row is summed), so the sums do not grow with the scale.
+    Each of the B rows of ``source`` holds n coupled source values, and the
+    same rows of ``excess`` and ``indicator`` the target's log-excesses a
+    and indicators c. t_l is the (n-l)-th ascending order statistic of a
+    source row. Cell (row, i), at l = l_index[i], holds the sums of L, L²,
+    a, a·L, c and c·L over the values above t_l (above 0 when t_l <= 0),
+    their count, and ln(t_l) less the row's origin, NaN when t_l <= 0. L is
+    ln(value) less the origin, the log of the row's largest value (0.0 when
+    the row sums nothing), so the sums do not grow with the scale.
     """
     # Sorted largest first, ties in row order (a stable sort), each
-    # threshold's exceedances are the first rows, so one cumulative pass
-    # gives the sums at every l, each with the same bits whatever rows follow.
-    # Only the rows at or above the (l_max + 1)-th largest value are sorted:
-    # in row order, with the stable rule, they are the first rows of the full
-    # order, so every sum has the bits a full sort gives.
-    cut = source.size - 1 - l_index.max()
-    rows = np.flatnonzero(source >= np.partition(source, cut)[cut])
-    order = rows[np.argsort(-source[rows], kind="stable")]
-    ranked = source[order]
-    thresholds = ranked[l_index]
-    # The count strictly above each threshold (below l where values tie), or
-    # above 0 for a threshold at or below 0, so no value at or below 0 is logged.
-    counts = np.searchsorted(-ranked, -np.fmax(thresholds, 0.0))
-    top = order[:counts.max()]
-    log = np.log(ranked[:top.size])
-    origin = float(log[0]) if log.size else 0.0
+    # threshold's exceedances are the first values, so one cumulative pass
+    # gives the sums at every l, each with the same bits whatever follows.
+    # Only the l_max + 1 largest values are selected and sorted. Which values
+    # tied at the cut a kernel selects never matters: they only supply
+    # thresholds, of one value, and every summed value lies strictly above.
+    rows = np.arange(len(source))[:, None]
+    cut = source.shape[1] - 1 - l_index.max()
+    selected = np.sort(np.argpartition(source, cut, axis=1)[:, cut:], axis=1)
+    values = source[rows, selected]
+    rank = np.argsort(-values, axis=1, kind="stable")
+    order, ranked = selected[rows, rank], values[rows, rank]
+    thresholds = ranked[:, l_index]
+    # The count strictly above t_l > 0 is the first position of its value,
+    # at [:, l - 1] of `starts`; above t_l <= 0 it is the number of positive
+    # values.
+    starts = np.where(ranked[:, 1:] != ranked[:, :-1],
+                      np.arange(1, ranked.shape[1]), 0)
+    np.maximum.accumulate(starts, axis=1, out=starts)
+    counts = np.where(thresholds > 0, starts[:, l_index - 1],
+                      np.count_nonzero(ranked > 0, axis=1)[:, None])
+    width = max(counts.max(), 1)
+    head, top = ranked[:, :width], order[:, :width]
+    log = np.zeros(head.shape)
+    np.log(head, out=log, where=head > 0)
+    origin = np.where(counts.max(axis=1) > 0, log[:, 0], 0.0)[:, None]
     log -= origin
-    a, c = target.excess[top], target.indicator[top]
-    prefix = np.zeros((6, top.size + 1))
-    np.cumsum((log, log * log, a, a * log, c, c * log), axis=1, out=prefix[:, 1:])
-    sums = np.empty((8, l_index.size))
-    np.take(prefix, counts, axis=1, out=sums[:6])
+    a, c = excess[rows, top], indicator[rows, top]
+    prefix = np.zeros((6, len(top), width + 1))
+    np.cumsum((log, log * log, a, a * log, c, c * log), axis=-1, out=prefix[..., 1:])
+    sums = np.empty((8, *counts.shape))
+    sums[:6] = prefix[:, rows, counts]
     sums[6] = counts
     sums[7] = np.nan
     np.log(thresholds, out=sums[7], where=thresholds > 0)

@@ -24,7 +24,7 @@ from .core import (
     Method,
     SemiSupervisedDataset,
     _check_finite_entries,
-    _exceedances,
+    _column_block,
     _integer,
     _json_fields,
     _source_sums,
@@ -32,7 +32,6 @@ from .core import (
     _validated_k,
 )
 from .dependence import _DIAGNOSTICS, DependenceReport, _diagnostics, _report
-from .estimators import _hill
 from .transfer import ESTIMATORS
 
 __all__ = [
@@ -651,54 +650,73 @@ class ThresholdScanPoint:
 _SCAN_BLOCK_CELLS = 2048
 
 
-def _scan_replication(config: ExperimentConfig, l_values,
-                      replication_index: int) -> np.ndarray:
-    """What one replication gives the plug-in at each l, as one flat record.
+def _scan_replication(config: ExperimentConfig, replication_index: int) -> tuple:
+    """The n coupled (target, source) values of one replication, checked finite.
 
-    With L values of l, the record holds the eight rows of L of
-    ``core._source_sums``, then the target means, the baseline Hill value
-    and its variance. ``_scan_block`` reads it. A failed baseline gives a
-    record of NaN, and a threshold at or below 0 a NaN log, which makes the
-    cell NaN. The study passes ``l_values`` as one int array; a tuple works
-    too.
+    ``_scan_block`` stacks them with the other replications of its block.
     """
     # No extra source value is drawn: m enters the plug-in only as a count.
     paired_target, source = _coupled_pairs(config, replication_index)
     _check_finite_entries(paired_target, "paired_target")
     _check_finite_entries(source, "paired_source")
-    l_index = np.asarray(l_values)
-    record = np.empty(8 * l_index.size + 5)
-    k = config.k
-    try:
-        target = _exceedances(paired_target, k,
-                              float(np.partition(paired_target, -k - 1)[-k - 1]))
-        baseline = _hill(SufficientStatistics(target))
-    except EstimationError:
-        record.fill(np.nan)
-        return record
-    record[:-5] = _source_sums(source, target, l_index).ravel()
-    record[-5:] = (*target.means, baseline.value, baseline.variance_estimate)
-    return record
+    return paired_target, source
 
 
 def _scan_block(config: ExperimentConfig, l_index: np.ndarray, block) -> np.ndarray:
     """The scan cells of the replications in ``block``, one row per l.
 
-    Each replication's record comes from ``_scan_replication``; one
-    ``acv._variance_differences`` call then takes the (8, replications, L)
-    view of every record's sums, with the means and the baseline value as
-    one column per replication. Every step is element-wise, so each cell has
-    the bits of a replication evaluated alone.
+    The B replications' pairs, from ``_scan_replication``, stack into (B, n)
+    target and source rows. One partition gives every target threshold, one
+    (3, B, n) ``core._column_block`` the target columns, whose totals give
+    each row's means and baseline Hill value and variance. ``core._source_sums``
+    gives the (8, B, L) source sums, and one ``acv._variance_differences``
+    call the plug-in at every cell. Each step is element-wise or along one
+    row, so every cell has the bits of a replication evaluated alone. A row
+    whose threshold is at or below 0, or with no exceedances, is all NaN.
     """
-    records = np.array([_scan_replication(config, l_index, index) for index in block])
-    cells = records[:, :-5].reshape(len(records), 8, l_index.size)
-    scalars = records[:, -5:, None].transpose(1, 0, 2)
-    differences = _variance_differences(cells.transpose(1, 0, 2), scalars[:3],
-                                        scalars[3], config.n, config.m)
-    return (scalars[4] - differences).T
+    targets, sources = map(np.array, zip(*(_scan_replication(config, index)
+                                            for index in block)))
+    k, n = config.k, config.n
+    thresholds = np.partition(targets, -k - 1, axis=1)[:, -k - 1:-k]
+    positive = thresholds > 0
+    # A threshold at or below 0 is replaced by 1.0, so that no log warns;
+    # its row's totals are then set to NaN.
+    columns = _column_block(targets, np.where(positive, thresholds, 1.0))
+    totals = np.add.reduce(columns, axis=-1)
+    totals[:, ~positive[:, 0] | (totals[2] == 0)] = np.nan
+    means = totals / n
+    value = means[0] / means[2]
+    variance = value * value / totals[2]
+    differences = _variance_differences(
+        _source_sums(sources, columns[0], columns[2], l_index),
+        means[:, :, None], value[:, None], n, config.m)
+    return (variance[:, None] - differences).T
 
 
-_QUARTILES = (25.0, 50.0, 75.0)
+# numpy's "linear" percentiles 25, 50 and 75, as fractions of the last index.
+_QUARTILES = np.array([0.25, 0.5, 0.75])
+
+
+def _linear_quartiles(columns: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``np.percentile(row[:count], [25, 50, 75])`` of each sorted row, as (3, L).
+
+    numpy's "linear" method step for step, at every row at once: the
+    virtual index (count - 1)·q and its floor; at or above the last index,
+    both neighbours are the last cell and gamma is the virtual index less
+    -1; then ``_lerp``'s two branches. A row with no cells gives NaN.
+    """
+    last = counts[:, None] - 1
+    virtual = last * _QUARTILES
+    previous = np.floor(virtual)
+    top = virtual >= last
+    rows = np.arange(len(columns))[:, None]
+    below, above = (columns[rows, np.where(top, last, index).astype(np.intp)]
+                    for index in (previous, previous + 1))
+    gamma = virtual - np.where(top, -1.0, previous)
+    diff = above - below
+    quartiles = np.where(gamma >= 0.5, above - diff * (1 - gamma), below + diff * gamma)
+    quartiles[counts == 0] = np.nan
+    return quartiles.T
 
 
 def source_threshold_scan(config: ExperimentConfig, l_values,
@@ -709,10 +727,13 @@ def source_threshold_scan(config: ExperimentConfig, l_values,
     Hill estimator (baseline plug-in variance minus the plug-in variance
     difference) across the configured replications and summarizes its
     distribution. Negative estimates are retained in the quartiles and
-    counted per point. Replications run in blocks of about 2,048 cells
-    (replications times l values): each replication gives its sums at every
-    l, and one plug-in call takes the whole block. Blocks run in ``workers``
-    processes (default 1), with the same points at any count.
+    counted per point; q1, median and q3 are numpy's linear percentiles of
+    each l's finite cells, bit for bit, taken for every l at once.
+    Replications run in blocks of about 2,048 cells (replications times l
+    values): a block's B replications are (B, n) arrays, each row gives its
+    sums at every l from one selection and sort, and one plug-in call takes
+    the whole block. Blocks run in ``workers`` processes (default 1), with
+    the same points at any count.
 
     Returns
     -------
@@ -727,18 +748,13 @@ def source_threshold_scan(config: ExperimentConfig, l_values,
     columns = np.concatenate(_map_replications(
         partial(_scan_block, config, np.array(l_tuple)), blocks, workers), axis=1)
     # As NaN a failed cell sorts last, so a column's first `count` cells are
-    # its finite ones, and the columns that share a count share one call.
+    # its finite ones, in order.
     failures = ~np.isfinite(columns)
     failed = np.count_nonzero(failures, axis=1)
     columns[failures] = np.nan
     columns.sort(axis=1)
-    counts = columns.shape[1] - failed
-    quartiles = np.full((3, len(l_tuple)), np.nan)
-    for count in np.unique(counts[counts > 0]):
-        same = counts == count
-        quartiles[:, same] = np.percentile(columns[same, :count], _QUARTILES, axis=1)
+    q1, median, q3 = _linear_quartiles(columns, columns.shape[1] - failed).tolist()
     negative = np.count_nonzero(columns < 0, axis=1)
-    q1, median, q3 = quartiles.tolist()
     # Positional, in ThresholdScanPoint's field order.
     return tuple(map(ThresholdScanPoint, l_tuple, median, q1, q3,
                      negative.tolist(), failed.tolist()))

@@ -548,21 +548,24 @@ def coupled_samples(draw):
     return dataset, draw(st.integers(min_value=1, max_value=n - 1))
 
 
-def assert_scan_cells_equal_the_public_plug_in(dataset, k, l_values):
-    config = ExperimentConfig(gamma_t=0.5, theta=2.0, n=dataset.n, m=dataset.m,
-                              source_marginal=Marginal.pareto(1.0), k=k,
-                              replications=1)
+def assert_scan_cells_equal_the_public_plug_in(datasets, k, l_values):
+    """One scan block of ``datasets``, all of one n and m, one row each."""
+    config = ExperimentConfig(gamma_t=0.5, theta=2.0, n=datasets[0].n,
+                              m=datasets[0].m, source_marginal=Marginal.pareto(1.0),
+                              k=k, replications=len(datasets))
+    pairs = [(dataset.paired_target, dataset.paired_source) for dataset in datasets]
     with mock.patch("tailcv.simulate._coupled_pairs",
-                    return_value=(dataset.paired_target, dataset.paired_source)):
-        cells = scan_cells(config, l_values, range(1))[0]
-    assert cell_bits(cells) == cell_bits(
-        [public_scan_cell(dataset, k, l) for l in l_values])
+                    lambda config, index: pairs[index]):
+        rows = scan_cells(config, l_values, range(len(datasets)))
+    for dataset, row in zip(datasets, rows):
+        assert cell_bits(row) == cell_bits(
+            [public_scan_cell(dataset, k, l) for l in l_values])
 
 
 @given(coupled_samples())
 def test_scan_cells_equal_the_public_plug_in(case):
     dataset, k = case
-    assert_scan_cells_equal_the_public_plug_in(dataset, k,
+    assert_scan_cells_equal_the_public_plug_in([dataset], k,
                                                tuple(range(1, dataset.n)))
 
 
@@ -617,6 +620,41 @@ def tied_source_case(l_values):
 # unstable sort of the top rows fails here.
 @example(tied_source_case((61, 64, 69, 74)))
 def test_scan_cells_over_some_l_equal_the_public_plug_in(case):
+    dataset, k, l_values = case
+    assert_scan_cells_equal_the_public_plug_in([dataset], k, l_values)
+
+
+@st.composite
+def scan_blocks(draw):
+    """One to four different coupled samples of one n and m, k and l values.
+
+    A quarter of the sources are one repeated value. The rows' thresholds,
+    counts above them and baseline failures differ, so a block mixes them.
+    """
+    n = draw(st.integers(min_value=3, max_value=40))
+    m = draw(st.integers(min_value=0, max_value=20))
+    datasets = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        source = draw(st.lists(levels, min_size=n, max_size=n))
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            source = [source[0]] * n
+        datasets.append(SemiSupervisedDataset(
+            draw(st.lists(levels, min_size=n, max_size=n)), source,
+            draw(st.lists(levels, min_size=m, max_size=m))))
+    l_values = draw(st.lists(st.integers(min_value=1, max_value=n - 1),
+                             min_size=1, max_size=8))
+    return datasets, draw(st.integers(min_value=1, max_value=n - 1)), tuple(l_values)
+
+
+@given(scan_blocks())
+# One block: a constant source, thresholds at and below 0, ties at the cut,
+# and a target with no exceedances.
+@example(([SemiSupervisedDataset(np.arange(1.0, 8.0), source, np.ones(4))
+           for source in ([2.0] * 7, [-1.0, 0.0, 2.0, -1.0, 0.0, -1.0, 1.0],
+                          [1.0, 3.0, 1.0, 2.0, 1.0, 0.5, 1.0])]
+          + [SemiSupervisedDataset(np.ones(7), np.arange(7.0), np.ones(4))],
+          3, (1, 2, 4, 6)))
+def test_scan_blocks_of_mixed_rows_equal_the_public_plug_in(case):
     assert_scan_cells_equal_the_public_plug_in(*case)
 
 
@@ -689,13 +727,19 @@ def test_scan_summaries_mix_finite_and_failed_cells():
     failed = np.isnan(matrix).sum(axis=0)
     assert failed[0] == 0 and failed[-1] == config.replications
     assert np.any((failed > 0) & (failed < config.replications))
-    # The columns that share a count of finite cells share a quartile call:
-    # keep a column with one finite cell and a partial count held by two.
+    # Keep a column with one finite cell, where numpy takes both neighbours
+    # and gamma at its top bound, and a partial count held by two columns.
     counts = config.replications - failed
     assert np.any(counts == 1)
     partial = counts[(counts > 0) & (counts < config.replications)]
     assert np.unique(partial, return_counts=True)[1].max() >= 2
-    for point, column in zip(points, matrix.T):
+    assert_points_summarize(points, matrix.T)
+
+
+def assert_points_summarize(points, columns):
+    """Each point has numpy's percentiles of its column's finite cells, bit for
+    bit, and counts its negative and failed cells."""
+    for point, column in zip(points, columns):
         finite = column[np.isfinite(column)]
         if finite.size:
             expected = np.percentile(finite, [25.0, 50.0, 75.0])
@@ -704,6 +748,44 @@ def test_scan_summaries_mix_finite_and_failed_cells():
         assert cell_bits([point.q1, point.median, point.q3]) == cell_bits(expected)
         assert point.negative_count == np.count_nonzero(finite < 0)
         assert point.failed == column.size - finite.size
+
+
+@st.composite
+def scan_columns(draw):
+    """Scan cells as (l, replication) columns: 0 to 3 finite cells each,
+    the rest NaN, with ties and zeros.
+
+    A column's zeros share one sign. A scan cell is never -0.0 (it is
+    x - y with x = value² / count), and where +0.0 and -0.0 tie, numpy's
+    percentile takes whichever its partition leaves in place.
+    """
+    replications = draw(st.integers(min_value=1, max_value=6))
+    columns = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        zero = draw(st.sampled_from([0.0, -0.0]))
+        finite = draw(st.lists(
+            st.one_of(st.sampled_from([zero, 1.0, -1.0, 2.5]),
+                      st.floats(min_value=-1e6, max_value=1e6).map(
+                          lambda value: value or zero)),
+            max_size=min(3, replications)))
+        column = finite + [np.nan] * (replications - len(finite))
+        columns.append(draw(st.permutations(column)))
+    return np.array(columns)
+
+
+@given(scan_columns())
+# numpy's top-bound rule: one cell has both neighbours at it and gamma 1.
+@example(np.array([[-0.0]]))
+@example(np.array([[np.nan, -0.0, np.nan], [-0.0, 2.5, -0.0], [np.nan] * 3]))
+def test_scan_quartiles_equal_numpys_percentile(columns):
+    config = ExperimentConfig(gamma_t=0.5, theta=2.0, n=40, m=0, k=4,
+                              source_marginal=Marginal.pareto(1.0),
+                              replications=columns.shape[1])
+    l_values = tuple(range(1, len(columns) + 1))
+    with mock.patch("tailcv.simulate._scan_block",
+                    lambda config, l_index, block: columns[:, list(block)]):
+        points = source_threshold_scan(config, l_values)
+    assert_points_summarize(points, columns)
 
 
 def test_scan_blocks_give_every_cell_the_public_plug_in(monkeypatch):
